@@ -5,10 +5,10 @@
 //
 // On startup this binary also runs a short hand-timed throughput sweep
 // of the kernel layer and writes BENCH_kernels.json (scalar vs
-// dispatched GB/s and the speedup per kernel; per-tier rows; per
-// thread-count rows for the parallel composite primitives; and the
-// <= 64-bucket scatter shape study), so successive PRs leave a perf
-// trajectory behind.
+// dispatched GB/s and the speedup per kernel, the CRC-32 included;
+// per-tier rows; per thread-count rows for the parallel composite
+// primitives; and the <= 64-bucket scatter shape study), so successive
+// PRs leave a perf trajectory behind.
 
 #include <benchmark/benchmark.h>
 
@@ -381,6 +381,14 @@ void WriteKernelThroughputJson(const char* path) {
     });
   };
 
+  // The same 32 MiB as bytes through the CRC-32 every snapshot frame
+  // and WAL record pays (persist/io.h).
+  auto crc32 = [&](const kernels::KernelOps& ops) {
+    return MeasureSecsOnce(nop, [&] {
+      throughput_sink = ops.crc32(data.data(), kN * sizeof(value_t), 0);
+    });
+  };
+
   struct NamedKernel {
     const char* name;
     std::function<double(const kernels::KernelOps&)> measure_once;
@@ -390,6 +398,7 @@ void WriteKernelThroughputJson(const char* path) {
       {"partition_two_sided", partition},
       {"crack_in_place", crack},
       {"radix_histogram_scatter", scatter},
+      {"crc32", crc32},
   };
 
   struct ResultRow {

@@ -359,6 +359,9 @@ void PrintRows(const std::vector<ServeRow>& rows) {
 /// this tool does not own passes through untouched.
 void WriteServingJson(const char* path, const std::vector<ServeRow>& rows) {
   std::vector<bench::JsonSection> sections = bench::ReadJsonSections(path);
+  // Every row records the core count it ran on, so rows from machines
+  // of a different shape are not mistaken for a regression.
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::string raw = "[\n";
   for (size_t i = 0; i < rows.size(); i++) {
     const ServeRow& r = rows[i];
@@ -368,9 +371,10 @@ void WriteServingJson(const char* path, const std::vector<ServeRow>& rows) {
           &raw,
           "    {\"index\": \"%s\", \"mode\": \"checkpoint\", "
           "\"log_queries\": %zu, \"snapshot_bytes\": %zu, "
-          "\"write_ms\": %.3f, \"replay_ms\": %.3f}%s\n",
+          "\"write_ms\": %.3f, \"replay_ms\": %.3f, "
+          "\"hardware_threads\": %u}%s\n",
           r.index_id.c_str(), r.queries, r.snapshot_bytes, r.ckpt_write_ms,
-          r.replay_ms, sep);
+          r.replay_ms, hw_threads, sep);
       continue;
     }
     bench::AppendF(
@@ -385,7 +389,7 @@ void WriteServingJson(const char* path, const std::vector<ServeRow>& rows) {
     if (r.mode == "open_loop") {
       bench::AppendF(&raw, ", \"offered_qps\": %.1f", r.offered_qps);
     }
-    bench::AppendF(&raw, "}%s\n", sep);
+    bench::AppendF(&raw, ", \"hardware_threads\": %u}%s\n", hw_threads, sep);
   }
   raw += "  ]";
   bench::UpsertJsonSection(&sections, "serving", std::move(raw));

@@ -16,9 +16,11 @@ namespace kernels {
 namespace {
 
 #ifdef PROGIDX_HAVE_SIMD_TIERS
+// The avx2 tier's CRC-32 folds with PCLMULQDQ, so the tier needs that
+// bit too (every AVX2 part ships it; the check keeps the gate honest).
 bool CpuHasAvx2() {
 #ifdef __GNUC__
-  return __builtin_cpu_supports("avx2");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
 #else
   return false;
 #endif
@@ -38,14 +40,17 @@ bool CpuHasSse2() {
 // shows avx512f in CPUID leaf 7 but faults on the first EVEX
 // instruction). __builtin_cpu_supports("avx512f") performs the same
 // chain in libgcc, but spelling it out keeps the requirement explicit
-// and portable to compilers without that builtin string.
+// and portable to compilers without that builtin string. The tier
+// shares the avx2 tier's PCLMULQDQ CRC-32, so leaf 1 must report that
+// (ECX bit 1) as well.
 bool CpuHasAvx512f() {
 #ifdef __GNUC__
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
   if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0) return false;
+  const bool pclmul = (ecx & (1u << 1)) != 0;
   const bool osxsave = (ecx & (1u << 27)) != 0;
   const bool avx = (ecx & (1u << 28)) != 0;
-  if (!osxsave || !avx) return false;
+  if (!pclmul || !osxsave || !avx) return false;
   // XGETBV(0): XCR0 must have SSE (bit 1), AVX (bit 2), and the three
   // AVX-512 state bits — opmask (5), ZMM0-15 upper halves (6),
   // ZMM16-31 (7). Raw opcode so no -mxsave build flag is needed.

@@ -12,21 +12,24 @@
 // Every tight loop the progressive indexes spend their per-query budget
 // in — predicated range-sum scans, two-sided pivot partitioning, the
 // in-place crack, radix digit extraction / histogram / scatter — lives
-// here, in four implementation tiers:
+// here, in four implementation tiers, together with the CRC-32 that
+// checksums every checkpoint byte:
 //
-//   * scalar — portable, cache-blocked, 4-way unrolled; the reference
-//     implementation every other tier must match bit for bit.
+//   * scalar — portable, cache-blocked, 4-way unrolled, slicing-by-8
+//     CRC; the reference implementation every other tier must match
+//     bit for bit.
 //   * sse2   — 2-lane SIMD scans (64-bit compares emulated, so plain
 //     x86-64 baseline silicon qualifies).
 //   * avx2   — 4-lane scans, compress-store partitioning, a buffered
-//     (Bramas-style) in-place crack, vector digit extraction, and a
-//     write-combining radix scatter.
+//     (Bramas-style) in-place crack, vector digit extraction, a
+//     write-combining radix scatter, and a PCLMULQDQ folding CRC.
 //   * avx512 — 8-lane masked scans, vpcompressq partitioning/crack,
-//     and a write-combining scatter flushed with 512-bit streaming
-//     stores.
+//     a write-combining scatter flushed with 512-bit streaming
+//     stores, and the same PCLMULQDQ CRC.
 //
 // Which tier runs is decided once per process by Dispatch(): CPUID
-// feature detection (leaf 7 + XGETBV ZMM-state for AVX-512),
+// feature detection (leaf 7 + XGETBV ZMM-state for AVX-512, and the
+// PCLMULQDQ bit for both wide tiers),
 // overridable with environment variables PROGIDX_FORCE_SCALAR=1
 // (testing the fallback) or
 // PROGIDX_FORCE_KERNEL=scalar|sse2|avx2|avx512 (unknown or unsupported
@@ -99,6 +102,12 @@ struct KernelOps {
   void (*radix_scatter)(const value_t* src, size_t n, value_t base,
                         int shift, uint32_t mask, value_t* dst,
                         size_t* offsets);
+
+  /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of
+  /// data[0, n) bytes, continuing from `crc` — the CRC of everything
+  /// before `data`, 0 to start. Any alignment. The checksum of the
+  /// durability layer's snapshot frames and WAL records.
+  uint32_t (*crc32)(const void* data, size_t n, uint32_t crc);
 };
 
 /// The portable reference tier; always available.
@@ -157,6 +166,10 @@ inline size_t CrackInPlace(value_t* data, size_t* lo, size_t* hi,
 inline void ComputeDigits(const value_t* src, size_t n, value_t base,
                           int shift, uint32_t mask, uint32_t* digits) {
   Dispatch().compute_digits(src, n, base, shift, mask, digits);
+}
+
+inline uint32_t Crc32(const void* data, size_t n, uint32_t crc = 0) {
+  return Dispatch().crc32(data, n, crc);
 }
 
 /// Stable LSD radix sort of data[0, n) whose values lie in

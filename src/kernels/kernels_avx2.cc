@@ -2,9 +2,10 @@
 
 // The AVX2 tier: 4-lane range-sum scans (16 elements per unrolled
 // iteration), compress-store two-sided partitioning, and vector digit
-// extraction feeding the shared prefetching histogram/scatter loops.
-// Compiled with -mavx2 for this translation unit only; Dispatch() only
-// routes here when CPUID reports AVX2.
+// extraction feeding the shared prefetching histogram/scatter loops;
+// plus the PCLMULQDQ CRC-32 that the AVX-512 tier shares. Compiled
+// with -mavx2 -mpclmul for this translation unit only; Dispatch() only
+// routes here when CPUID reports AVX2 and PCLMULQDQ.
 
 #if defined(PROGIDX_HAVE_SIMD_TIERS) && defined(__AVX2__)
 
@@ -265,6 +266,74 @@ void RadixScatterAvx2(const value_t* src, size_t n, value_t base, int shift,
 
 }  // namespace
 
+namespace detail {
+
+// CRC-32 by carry-less multiplication (Gopal et al., "Fast CRC
+// Computation for Generic Polynomials Using PCLMULQDQ Instruction",
+// Intel, 2009): four 128-bit accumulators fold 64 bytes per step, are
+// folded into one, which then folds the remaining 16-byte blocks; the
+// last 128 bits reduce to 64, then to 32 by Barrett reduction. The
+// constants are the paper's, bit-reflected and shifted: k1..k4 are
+// x^(4·128+32), x^(4·128-32), x^(128+32), x^(128-32) mod P, k5 is
+// x^64 mod P, P′ the polynomial itself and μ = floor(x^64 / P).
+uint32_t Crc32Clmul(const void* data, size_t n, uint32_t crc) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  if (n < 64) return Crc32Scalar(p, n, crc);
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  auto load = [](const uint8_t* src) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
+  };
+  // Carries `acc` forward over the distance its constant pair encodes
+  // (low half times the first constant, high half times the second)
+  // and adds the block found there.
+  auto fold = [](__m128i acc, __m128i k, __m128i next) {
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                       _mm_clmulepi64_si128(acc, k, 0x11)),
+                         next);
+  };
+
+  __m128i x0 =
+      _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(~crc)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x0 = fold(x0, k1k2, load(p));
+    x1 = fold(x1, k1k2, load(p + 16));
+    x2 = fold(x2, k1k2, load(p + 32));
+    x3 = fold(x3, k1k2, load(p + 48));
+  }
+  x0 = fold(x0, k3k4, x1);
+  x0 = fold(x0, k3k4, x2);
+  x0 = fold(x0, k3k4, x3);
+  for (; n >= 16; p += 16, n -= 16) x0 = fold(x0, k3k4, load(p));
+
+  // 128 -> 64 bits, then 64 -> 32 (as 96 -> 64 with the zero-extended
+  // low word times k5).
+  x0 = _mm_xor_si128(_mm_srli_si128(x0, 8),
+                     _mm_clmulepi64_si128(x0, k3k4, 0x10));
+  x0 = _mm_xor_si128(
+      _mm_clmulepi64_si128(_mm_and_si128(x0, low32), k5, 0x00),
+      _mm_srli_si128(x0, 4));
+  // Barrett: q = floor(x0·μ), crc = x0 - q·P′ (the low word's multiple
+  // of P lands the remainder in word 1).
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x0, low32), poly_mu, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), poly_mu, 0x00);
+  const uint32_t folded =
+      static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x0, q), 1));
+  // The fold works on the inverted register; re-invert it so the tail
+  // continues from a plain CRC.
+  return Crc32Scalar(p, n, ~folded);
+}
+
+}  // namespace detail
+
 const KernelOps& Avx2Kernels() {
   static constexpr KernelOps kOps = {
       "avx2",
@@ -275,6 +344,7 @@ const KernelOps& Avx2Kernels() {
       &ComputeDigitsAvx2,
       &RadixHistogramAvx2,
       &RadixScatterAvx2,
+      &detail::Crc32Clmul,
   };
   return kOps;
 }
@@ -290,6 +360,11 @@ const KernelOps& Avx2Kernels() {
 namespace progidx {
 namespace kernels {
 const KernelOps& Avx2Kernels() { return ScalarKernels(); }
+namespace detail {
+uint32_t Crc32Clmul(const void* data, size_t n, uint32_t crc) {
+  return Crc32Scalar(data, n, crc);
+}
+}  // namespace detail
 }  // namespace kernels
 }  // namespace progidx
 

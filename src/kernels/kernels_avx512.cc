@@ -4,10 +4,11 @@
 // unrolled iteration), vpcompressq-based two-sided partitioning (exact
 // compress-stores, no clobber slack needed), a Bramas-style buffered
 // in-place crack, vector digit extraction, and a write-combining
-// scatter flushed with 512-bit streaming stores. Compiled with
-// -mavx512f for this translation unit only; Dispatch() routes here only
-// after CPUID leaf-7 reports AVX512F and XGETBV confirms the OS saves
-// ZMM/opmask state.
+// scatter flushed with 512-bit streaming stores; the CRC-32 is the AVX2
+// tier's PCLMULQDQ fold. Compiled with -mavx512f for this translation
+// unit only; Dispatch() routes here only after CPUID leaf-7 reports
+// AVX512F, XGETBV confirms the OS saves ZMM/opmask state, and leaf 1
+// reports PCLMULQDQ.
 
 #if defined(PROGIDX_HAVE_SIMD_TIERS) && defined(__AVX512F__)
 
@@ -292,6 +293,7 @@ const KernelOps& Avx512Kernels() {
       &ComputeDigitsAvx512,
       &RadixHistogramAvx512,
       &RadixScatterAvx512,
+      &detail::Crc32Clmul,
   };
   return kOps;
 }

@@ -31,6 +31,10 @@ void RadixHistogramScalar(const value_t* src, size_t n, value_t base,
 void RadixScatterScalar(const value_t* src, size_t n, value_t base,
                         int shift, uint32_t mask, value_t* dst,
                         size_t* offsets);
+uint32_t Crc32Scalar(const void* data, size_t n, uint32_t crc);
+/// PCLMULQDQ folding CRC-32 shared by the avx2 and avx512 tiers;
+/// inputs under 64 bytes and the sub-16-byte tail take Crc32Scalar.
+uint32_t Crc32Clmul(const void* data, size_t n, uint32_t crc);
 
 using ComputeDigitsFn = void (*)(const value_t*, size_t, value_t, int,
                                  uint32_t, uint32_t*);

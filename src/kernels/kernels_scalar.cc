@@ -1,10 +1,13 @@
+#include <cstring>
+
 #include "kernels/kernels_internal.h"
 
 // The scalar tier: portable reference implementations. The scans are
 // cache-blocked (L1-sized tiles) and manually 4-way unrolled so the
 // compiler keeps four independent accumulator pairs in registers; the
 // predicated forms compile to cmov/setcc, never a data-dependent
-// branch.
+// branch. The CRC-32 is slicing-by-8: eight table lookups per 8-byte
+// word instead of one dependent lookup per byte.
 
 namespace progidx {
 namespace kernels {
@@ -13,6 +16,31 @@ namespace {
 
 /// One L1 tile of value_t (4096 * 8 B = 32 KiB).
 constexpr size_t kScanTile = 4096;
+
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial: t[0] is the
+/// bytewise table, t[k][b] is t[k-1][b] advanced over one more zero
+/// byte, so a byte k positions before the end of a word uses t[k].
+struct Crc32Tables {
+  uint32_t t[8][256];
+};
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables{};
+  for (uint32_t i = 0; i < 256; i++) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    tables.t[0][i] = c;
+  }
+  for (int k = 1; k < 8; k++) {
+    for (uint32_t i = 0; i < 256; i++) {
+      const uint32_t prev = tables.t[k - 1][i];
+      tables.t[k][i] = (prev >> 8) ^ tables.t[0][prev & 0xFF];
+    }
+  }
+  return tables;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
 
 }  // namespace
 
@@ -169,6 +197,24 @@ void RadixScatterScalar(const value_t* src, size_t n, value_t base,
                     offsets);
 }
 
+uint32_t Crc32Scalar(const void* data, size_t n, uint32_t crc) {
+  static_assert(__BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__,
+                "slicing-by-8 folds the CRC into little-endian words");
+  const auto& t = kCrc32Tables.t;
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint32_t c = ~crc;
+  for (; n >= 8; n -= 8, p += 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, sizeof(w));
+    w ^= c;
+    c = t[7][w & 0xFF] ^ t[6][(w >> 8) & 0xFF] ^ t[5][(w >> 16) & 0xFF] ^
+        t[4][(w >> 24) & 0xFF] ^ t[3][(w >> 32) & 0xFF] ^
+        t[2][(w >> 40) & 0xFF] ^ t[1][(w >> 48) & 0xFF] ^ t[0][w >> 56];
+  }
+  for (; n > 0; n--, p++) c = t[0][(c ^ *p) & 0xFF] ^ (c >> 8);
+  return ~c;
+}
+
 }  // namespace detail
 
 const KernelOps& ScalarKernels() {
@@ -181,6 +227,7 @@ const KernelOps& ScalarKernels() {
       &detail::ComputeDigitsScalar,
       &detail::RadixHistogramScalar,
       &detail::RadixScatterScalar,
+      &detail::Crc32Scalar,
   };
   return kOps;
 }

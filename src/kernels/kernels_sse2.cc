@@ -2,9 +2,10 @@
 
 // The SSE2 tier: 2-lane scans for plain x86-64 baseline silicon. SSE2
 // has no 64-bit compare, so one is emulated (overflow-safe, Hacker's
-// Delight 2-13); everything else (partition, crack, digits, scatter)
-// falls back to the scalar building blocks, where 2-lane SIMD buys
-// nothing over the cmov loop.
+// Delight 2-13); everything else (partition, crack, digits, scatter,
+// CRC) falls back to the scalar building blocks, where 2-lane SIMD
+// buys nothing over the cmov loop — and baseline x86-64 does not
+// guarantee the PCLMULQDQ the wide tiers' CRC needs.
 
 #if defined(PROGIDX_HAVE_SIMD_TIERS) && defined(__SSE2__)
 
@@ -86,6 +87,7 @@ const KernelOps& Sse2Kernels() {
       &detail::ComputeDigitsScalar,
       &detail::RadixHistogramScalar,
       &detail::RadixScatterScalar,
+      &detail::Crc32Scalar,
   };
   return kOps;
 }

@@ -69,7 +69,11 @@ std::vector<uint64_t> Checkpointer::ListSnapshots() const {
 bool Checkpointer::Save(const IndexBase& index, const SnapshotMeta& meta) {
   if (!index.SupportsPersistence()) return false;
   obs::TraceScope span("checkpoint", "persist");
-  Writer w;
+  const uint64_t seq = next_seq_;
+  const std::string path = PathForSeq(seq);
+  // Streamed: frames reach the temp file while SaveState runs, so the
+  // snapshot never exists as one in-memory payload.
+  Writer w(path);
   w.WriteString(index.name());
   w.WriteU64(column_.size());
   w.WriteU32(column_crc_);
@@ -77,10 +81,9 @@ bool Checkpointer::Save(const IndexBase& index, const SnapshotMeta& meta) {
   w.WriteU64(meta.epochs);
   w.WriteU64(meta.calibration_crc);
   index.SaveState(&w);
-  const uint64_t seq = next_seq_;
-  if (!w.Publish(PathForSeq(seq))) return false;
+  if (!w.Publish(path)) return false;
   next_seq_ = seq + 1;
-  last_snapshot_bytes_ = w.payload().size();
+  last_snapshot_bytes_ = w.size();
   SnapshotBytesCounter().Add(last_snapshot_bytes_);
   SnapshotsCounter().Add();
   // Prune: everything older than the newest kKeepSnapshots goes. The

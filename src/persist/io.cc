@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/fault.h"
+#include "kernels/kernels.h"
 #include "obs/metrics.h"
 
 namespace progidx {
@@ -29,24 +30,29 @@ const obs::Counter& PublishesCounter() {
 }
 
 constexpr char kMagic[8] = {'P', 'I', 'D', 'X', 'S', 'N', 'P', '1'};
-/// Frames cap at 1 MiB so a corrupt length field can never drive a
-/// gigabyte allocation before the CRC check rejects the file.
-constexpr size_t kMaxFrame = size_t{1} << 20;
 
-const uint32_t* CrcTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; i++) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; k++) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table.data();
+/// a·b mod P over GF(2), both in the reflected representation (bit 31
+/// holds x^0).
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+    if ((a & m) != 0) product ^= b;
+    b = (b & 1) != 0 ? (b >> 1) ^ 0xEDB88320u : b >> 1;
+  }
+  return product;
 }
+
+/// kX8n[j] = x^(8·2^j) mod P: the shift over 2^j zero bytes, one entry
+/// per bit of a size_t byte count.
+constexpr std::array<uint32_t, 64> kX8n = [] {
+  std::array<uint32_t, 64> t{};
+  uint32_t p = 1u << 23;  // x^8
+  for (uint32_t& e : t) {
+    e = p;
+    p = MultModP(p, p);
+  }
+  return t;
+}();
 
 /// Fsyncs the directory containing `path` so the rename itself is
 /// durable, not just the file contents.
@@ -63,20 +69,140 @@ bool WriteAll(FILE* f, const void* p, size_t n) {
   return std::fwrite(p, 1, n, f) == n;
 }
 
+bool ReadAll(FILE* f, void* p, size_t n) {
+  return std::fread(p, 1, n, f) == n;
+}
+
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
-  const uint32_t* table = CrcTable();
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; i++) {
-    c = table[(c ^ p[i]) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+  return kernels::Crc32(data, n, seed);
 }
 
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b) {
+  uint32_t shift = 1u << 31;  // x^0
+  for (size_t j = 0; len_b != 0; len_b >>= 1, j++) {
+    if ((len_b & 1) != 0) shift = MultModP(kX8n[j], shift);
+  }
+  return MultModP(shift, crc_a) ^ crc_b;
+}
+
+/// One container under construction at `<path>.tmp`: the magic on
+/// open, one frame per Append, then Publish's terminator, fsync and
+/// rename. The whole-payload CRC accumulates from the frame CRCs.
+/// Destroyed unpublished, it removes the temp file.
+class Writer::Stream {
+ public:
+  explicit Stream(std::string path)
+      : path_(std::move(path)), tmp_(path_ + ".tmp") {
+    f_ = std::fopen(tmp_.c_str(), "wb");
+    ok_ = f_ != nullptr && WriteAll(f_, kMagic, sizeof(kMagic));
+  }
+  ~Stream() {
+    if (f_ != nullptr) {
+      std::fclose(f_);
+      std::remove(tmp_.c_str());
+    }
+  }
+  Stream(const Stream&) = delete;
+  Stream& operator=(const Stream&) = delete;
+
+  const std::string& path() const { return path_; }
+
+  void Append(const char* chunk, size_t len) {
+    if (!ok_) return;
+    const uint32_t header[2] = {static_cast<uint32_t>(len),
+                                Crc32(chunk, len)};
+    ok_ = WriteAll(f_, header, sizeof(header)) && WriteAll(f_, chunk, len);
+    total_crc_ = Crc32Combine(total_crc_, header[1], len);
+  }
+
+  /// Terminates, syncs and renames the container into place; see
+  /// Writer::Publish for the contract. `payload_bytes` sizes the
+  /// counters and the `snapshot_torn` truncation.
+  bool Publish(size_t payload_bytes);
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  FILE* f_ = nullptr;  ///< open until Publish; null afterwards
+  bool ok_ = false;
+  uint32_t total_crc_ = 0;  ///< Crc32 of the payload appended so far
+};
+
+bool Writer::Stream::Publish(size_t payload_bytes) {
+  if (f_ == nullptr) return false;
+  const uint32_t terminator[2] = {0, total_crc_};
+  bool ok = ok_ && WriteAll(f_, terminator, sizeof(terminator)) &&
+            std::fflush(f_) == 0;
+  if (ok) {
+    if (fault::Fires(fault::Mode::kFsyncFail, fault::Site::kPersistFsync)) {
+      // Simulated fsync failure: the bytes may never reach disk, so
+      // the publication must be abandoned, not renamed into place.
+      ok = false;
+    } else {
+      ok = ::fsync(fileno(f_)) == 0;
+    }
+  }
+  if (std::fclose(f_) != 0) ok = false;
+  f_ = nullptr;
+  ok_ = false;
+  if (!ok) {
+    std::remove(tmp_.c_str());
+    return false;
+  }
+
+  if (fault::Fires(fault::Mode::kCrashPreRename, fault::Site::kPersistRename)) {
+    // Simulated crash between the durable temp write and the publish
+    // rename: the temp file is left behind exactly as a real crash
+    // would leave it, and `path` keeps its previous content.
+    return false;
+  }
+  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+    std::remove(tmp_.c_str());
+    return false;
+  }
+  FsyncParentDir(path_);
+  PublishedBytesCounter().Add(payload_bytes);
+  PublishesCounter().Add();
+
+  if (fault::Fires(fault::Mode::kSnapshotTorn, fault::Site::kPersistTorn)) {
+    // Simulated torn publish: the rename reached disk but the tail of
+    // the data did not. Returns true — the writer believes it
+    // succeeded — so recovery must detect the damage on its own.
+    const off_t full =
+        static_cast<off_t>(sizeof(kMagic) + payload_bytes + 16);
+    ::truncate(path_.c_str(), full / 2);
+  }
+  return true;
+}
+
+Writer::Writer() = default;
+
+Writer::Writer(std::string path)
+    : stream_(std::make_unique<Stream>(std::move(path))) {
+  payload_.reserve(kMaxFrame);
+}
+
+Writer::~Writer() = default;
+
 void Writer::WriteRaw(const void* p, size_t n) {
-  payload_.append(static_cast<const char*>(p), n);
+  const char* src = static_cast<const char*>(p);
+  if (stream_ == nullptr) {
+    payload_.append(src, n);
+    return;
+  }
+  while (n > 0) {
+    const size_t take = std::min(n, kMaxFrame - payload_.size());
+    payload_.append(src, take);
+    src += take;
+    n -= take;
+    if (payload_.size() == kMaxFrame) {
+      stream_->Append(payload_.data(), kMaxFrame);
+      streamed_ += kMaxFrame;
+      payload_.clear();
+    }
+  }
 }
 
 void Writer::WriteDouble(double v) {
@@ -99,109 +225,63 @@ void Writer::WriteValues(const value_t* p, size_t n) {
   WriteRaw(p, n * sizeof(value_t));
 }
 
-bool Writer::Publish(const std::string& path) const {
-  const std::string tmp = path + ".tmp";
-  FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-
-  bool ok = WriteAll(f, kMagic, sizeof(kMagic));
-  for (size_t off = 0; ok && off < payload_.size(); off += kMaxFrame) {
-    const uint32_t len =
-        static_cast<uint32_t>(std::min(kMaxFrame, payload_.size() - off));
-    const uint32_t crc = Crc32(payload_.data() + off, len);
-    ok = WriteAll(f, &len, sizeof(len)) && WriteAll(f, &crc, sizeof(crc)) &&
-         WriteAll(f, payload_.data() + off, len);
-  }
-  if (ok) {
-    const uint32_t zero = 0;
-    const uint32_t total = Crc32(payload_.data(), payload_.size());
-    ok = WriteAll(f, &zero, sizeof(zero)) && WriteAll(f, &total, sizeof(total));
-  }
-  ok = ok && std::fflush(f) == 0;
-  if (ok) {
-    if (fault::Fires(fault::Mode::kFsyncFail, fault::Site::kPersistFsync)) {
-      // Simulated fsync failure: the bytes may never reach disk, so
-      // the publication must be abandoned, not renamed into place.
-      ok = false;
-    } else {
-      ok = ::fsync(fileno(f)) == 0;
+bool Writer::Publish(const std::string& path) {
+  if (stream_ == nullptr) {
+    Stream stream(path);
+    for (size_t off = 0; off < payload_.size(); off += kMaxFrame) {
+      stream.Append(payload_.data() + off,
+                    std::min(kMaxFrame, payload_.size() - off));
     }
+    return stream.Publish(payload_.size());
   }
-  if (std::fclose(f) != 0) ok = false;
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
+  if (path != stream_->path()) return false;
+  if (!payload_.empty()) {
+    // The open frame is the last one: it may be short.
+    stream_->Append(payload_.data(), payload_.size());
+    streamed_ += payload_.size();
+    payload_.clear();
   }
-
-  if (fault::Fires(fault::Mode::kCrashPreRename, fault::Site::kPersistRename)) {
-    // Simulated crash between the durable temp write and the publish
-    // rename: the temp file is left behind exactly as a real crash
-    // would leave it, and `path` keeps its previous content.
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  FsyncParentDir(path);
-  PublishedBytesCounter().Add(payload_.size());
-  PublishesCounter().Add();
-
-  if (fault::Fires(fault::Mode::kSnapshotTorn, fault::Site::kPersistTorn)) {
-    // Simulated torn publish: the rename reached disk but the tail of
-    // the data did not. Returns true — the writer believes it
-    // succeeded — so recovery must detect the damage on its own.
-    const off_t full =
-        static_cast<off_t>(sizeof(kMagic) + payload_.size() + 16);
-    ::truncate(path.c_str(), full / 2);
-  }
-  return true;
+  return stream_->Publish(streamed_);
 }
 
 Reader Reader::FromFile(const std::string& path) {
   Reader r;
+  r.ok_ = false;
   FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    r.ok_ = false;
-    return r;
+  if (f == nullptr) return r;
+  struct stat st {};
+  char magic[sizeof(kMagic)] = {};
+  if (::fstat(fileno(f), &st) == 0 && ReadAll(f, magic, sizeof(magic)) &&
+      std::memcmp(magic, kMagic, sizeof(kMagic)) == 0) {
+    // Frames are read straight into place. The payload is smaller than
+    // the file holding it, so the file size bounds the buffer whatever
+    // the length fields claim.
+    r.payload_.resize(static_cast<size_t>(st.st_size));
+    size_t filled = 0;
+    uint32_t total_crc = 0;
+    uint32_t header[2] = {};
+    while (ReadAll(f, header, sizeof(header))) {
+      const uint32_t len = header[0];
+      if (len == 0) {
+        // Terminator: whole-payload CRC, and nothing may follow it.
+        r.ok_ = header[1] == total_crc && std::fgetc(f) == EOF &&
+                std::ferror(f) == 0;
+        break;
+      }
+      char* chunk = r.payload_.data() + filled;
+      // Each frame is checksummed once, while it is still in cache;
+      // the whole-payload CRC is combined from the frame CRCs.
+      if (len > kMaxFrame || len > r.payload_.size() - filled ||
+          !ReadAll(f, chunk, len) || Crc32(chunk, len) != header[1]) {
+        break;
+      }
+      total_crc = Crc32Combine(total_crc, header[1], len);
+      filled += len;
+    }
+    r.payload_.resize(filled);
   }
-  std::string file;
-  char buf[1 << 16];
-  size_t got;
-  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) file.append(buf, got);
-  const bool read_ok = std::ferror(f) == 0;
   std::fclose(f);
-
-  if (!read_ok || file.size() < sizeof(kMagic) ||
-      std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
-    r.ok_ = false;
-    return r;
-  }
-  size_t pos = sizeof(kMagic);
-  bool terminated = false;
-  while (pos + 8 <= file.size()) {
-    uint32_t len, crc;
-    std::memcpy(&len, file.data() + pos, 4);
-    std::memcpy(&crc, file.data() + pos + 4, 4);
-    pos += 8;
-    if (len == 0) {
-      // Terminator: whole-payload CRC, and nothing may follow it.
-      terminated =
-          crc == Crc32(r.payload_.data(), r.payload_.size()) &&
-          pos == file.size();
-      break;
-    }
-    if (len > kMaxFrame || pos + len > file.size() ||
-        crc != Crc32(file.data() + pos, len)) {
-      break;
-    }
-    r.payload_.append(file.data() + pos, len);
-    pos += len;
-  }
-  if (!terminated) {
-    r.payload_.clear();
-    r.ok_ = false;
-  }
+  if (!r.ok_) r.payload_ = std::string();
   return r;
 }
 
@@ -256,13 +336,14 @@ std::string Reader::ReadString() {
 const value_t* Reader::ReadValueRun(size_t* n) {
   *n = 0;
   const uint64_t count = ReadU64();
-  const size_t bytes = static_cast<size_t>(count) * sizeof(value_t);
-  if (!ok_ || pos_ + bytes > payload_.size()) {
+  // The count is untrusted: bound it by the bytes left before
+  // multiplying, so a huge count cannot wrap the byte size.
+  if (!ok_ || count > (payload_.size() - pos_) / sizeof(value_t)) {
     ok_ = false;
     return nullptr;
   }
   const value_t* p = reinterpret_cast<const value_t*>(payload_.data() + pos_);
-  pos_ += bytes;
+  pos_ += static_cast<size_t>(count) * sizeof(value_t);
   *n = static_cast<size_t>(count);
   return p;
 }

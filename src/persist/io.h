@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -10,12 +11,21 @@
 
 // Serialization substrate of the durability layer (docs/recovery.md).
 //
-// A snapshot is a flat byte payload assembled by Writer and published
-// to disk in a CRC32-framed container:
+// A snapshot is a flat byte payload produced through Writer and
+// published to disk in a CRC32-framed container:
 //
 //   magic "PIDXSNP1" (8 bytes)
 //   frame*          u32 length (<= 1 MiB) | u32 crc32(chunk) | chunk
 //   terminator      u32 0 | u32 crc32(whole payload)
+//
+// Every frame but the last carries exactly kMaxFrame bytes, so the
+// file is a pure function of the payload, however it was written. A
+// streaming Writer hands each frame to the temp file as soon as it
+// fills — a checkpoint never holds more than one frame of payload in
+// memory — and both writer and Reader derive the terminator's
+// whole-payload CRC from the frame CRCs (Crc32Combine), so each
+// payload byte is checksummed exactly once per write and once per
+// read.
 //
 // Publication is crash-atomic: the container is written to
 // `<path>.tmp`, fsync'd, renamed over `path`, and the parent directory
@@ -24,9 +34,10 @@
 // and bit flips (frame or payload CRC mismatch) are detected by Reader
 // and reported as !ok(), never as silently wrong bytes.
 //
-// This header is a leaf utility: core/ index classes include it for
-// their SaveState/LoadState implementations, so it must not depend on
-// anything above common/.
+// Layering: core/ index classes include this header for their
+// SaveState/LoadState implementations, so the persist IO layer depends
+// on nothing above common/ — except one edge down to kernels/, whose
+// dispatched crc32 kernel checksums every frame.
 //
 // Crash-fault seams (common/fault.h) live in Writer::Publish:
 // `fsync_fail` aborts before the data reaches disk, `crash_pre_rename`
@@ -37,18 +48,45 @@
 namespace progidx {
 namespace persist {
 
-/// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320). `seed` chains
-/// incremental computation: pass the previous return value.
+/// Payload bytes per container frame (the last frame may be shorter).
+/// The cap also means a corrupt length field can never drive a large
+/// allocation before the CRC check rejects the file.
+constexpr size_t kMaxFrame = size_t{1} << 20;
+
+/// CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) through the
+/// dispatched kernel. `seed` chains incremental computation: pass the
+/// previous return value.
 uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
-/// Accumulates a serialization payload in memory. Every field is
-/// written as a fixed 8-byte little-endian unit (strings are padded to
-/// an 8-byte boundary), so payload bytes — and therefore the
-/// state-equality comparisons in the crash harness — are
-/// platform-stable, and value runs are always 8-byte aligned for
-/// direct typed reads out of the payload buffer.
+/// CRC-32 of A‖B from crc_a = Crc32(A), crc_b = Crc32(B) and len_b =
+/// |B|, without touching the bytes: crc_a is shifted over len_b zero
+/// bytes (a GF(2) multiply by x^(8·len_b) mod P) and xored with crc_b.
+/// O(log len_b).
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t len_b);
+
+/// Accumulates a serialization payload. Every field is written as a
+/// fixed 8-byte little-endian unit (strings are padded to an 8-byte
+/// boundary), so payload bytes — and therefore the state-equality
+/// comparisons in the crash harness — are platform-stable, and value
+/// runs are always 8-byte aligned for direct typed reads out of the
+/// payload buffer.
+///
+/// Two modes, one container format: the default writer keeps the whole
+/// payload in memory (state-equality comparisons, the crash harness,
+/// the calibration pin); a writer constructed with a path streams it
+/// (checkpoints).
 class Writer {
  public:
+  Writer();
+  /// Streaming writer for `path`: opens `<path>.tmp` and writes each
+  /// frame there as soon as it fills, holding at most one frame in
+  /// memory. Publish(path) — the same path — completes the container;
+  /// a writer destroyed unpublished removes the temp file.
+  explicit Writer(std::string path);
+  ~Writer();
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
   void WriteU32(uint32_t v) { WriteU64(v); }
   void WriteU64(uint64_t v) { WriteRaw(&v, sizeof(v)); }
   void WriteI64(int64_t v) { WriteRaw(&v, sizeof(v)); }
@@ -62,31 +100,41 @@ class Writer {
     WriteValues(v.data(), v.size());
   }
 
-  /// The raw payload accumulated so far. State equality between two
+  /// The raw payload accumulated so far (in-memory writers; a streaming
+  /// writer holds only its open frame). State equality between two
   /// index instances is defined as equality of these bytes.
   const std::string& payload() const { return payload_; }
+
+  /// Payload bytes written so far, streamed frames included.
+  size_t size() const { return streamed_ + payload_.size(); }
 
   /// Frames the payload and atomically publishes it at `path` (temp
   /// file + fsync + rename + directory fsync). Returns false when an
   /// IO error or an armed crash fault aborted publication; `path` then
   /// still holds its previous content (or is absent) — except under
   /// the `snapshot_torn` fault, which deliberately publishes a
-  /// truncated file and returns true so recovery must catch it.
-  bool Publish(const std::string& path) const;
+  /// truncated file and returns true so recovery must catch it. An
+  /// in-memory writer may publish repeatedly; a streaming writer
+  /// publishes once, to the path it was constructed with.
+  bool Publish(const std::string& path);
 
  private:
+  class Stream;
+
   void WriteRaw(const void* p, size_t n);
 
   std::string payload_;
+  std::unique_ptr<Stream> stream_;  ///< null for in-memory writers
+  size_t streamed_ = 0;             ///< payload bytes already framed out
 };
 
 /// Sequential reader over a validated payload. Construction via
 /// FromFile performs the full container validation up front (magic,
-/// every frame CRC, terminator, whole-payload CRC); any torn,
-/// truncated, or bit-flipped file yields ok() == false and zero
-/// readable bytes. Read past the payload end flips ok() to false and
-/// returns zeros, so loaders can read optimistically and check ok()
-/// once at the end.
+/// every frame CRC, terminator, whole-payload CRC) in one pass over the
+/// file, into a buffer no larger than the file; any torn, truncated,
+/// or bit-flipped file yields ok() == false and zero readable bytes.
+/// Read past the payload end flips ok() to false and returns zeros, so
+/// loaders can read optimistically and check ok() once at the end.
 class Reader {
  public:
   /// Reads and validates a framed container from disk.

@@ -84,23 +84,16 @@ bool ReadWal(const std::string& path, std::vector<WalEpoch>* out,
     if (Crc32(body, len) != crc) break;
     const uint64_t first_ticket = LoadU64(body);
     const uint64_t count = LoadU64(body + 8);
-    // Entry width discriminates the record format (header comment):
-    // count·24 op entries (current) vs count·16 query pairs (legacy).
-    const bool legacy = (len == 16 + count * 16);
-    if (!legacy && len != 16 + count * 24) break;
+    // The count is untrusted: derive the entry count from the length
+    // instead of multiplying it out (a wrapping product could pass a
+    // 16 + count·24 check). Any other shape is a torn tail.
+    if ((len - 16) % 24 != 0 || count != (len - 16) / 24) break;
     WalEpoch epoch;
     epoch.first_ticket = first_ticket;
     epoch.ops.resize(count);
     bool valid = true;
     for (uint64_t i = 0; i < count; i++) {
       ServeRequest& req = epoch.ops[i];
-      if (legacy) {
-        req.op = OpKind::kQuery;
-        req.query.low = static_cast<value_t>(LoadU64(body + 16 + i * 16));
-        req.query.high =
-            static_cast<value_t>(LoadU64(body + 16 + i * 16 + 8));
-        continue;
-      }
       const uint64_t op = LoadU64(body + 16 + i * 24);
       const uint64_t a = LoadU64(body + 16 + i * 24 + 8);
       const uint64_t b = LoadU64(body + 16 + i * 24 + 16);

@@ -19,15 +19,13 @@
 //   magic "PIDXWAL1" (8 bytes)
 //   record*  u32 length | u32 crc32(body) | body
 //   body  =  u64 first_ticket | u64 count | count × entry
-//   entry =  u64 op | u64 a | u64 b          (current, 24 bytes)
+//   entry =  u64 op | u64 a | u64 b          (24 bytes)
 //            op 0 = query (a = low, b = high)
 //            op 1 = append (a = value), op 2 = delete (a = value)
-//   entry =  i64 low | i64 high              (legacy, 16 bytes)
 //
-// The two entry widths are told apart per record from `count` and the
-// record length (len == 16 + count·24 vs 16 + count·16); legacy
-// query-only logs written before updates existed keep replaying. The
-// writer always emits the 24-byte form.
+// A record is valid only when len == 16 + count·24 exactly; any other
+// shape — including the retired 16-byte query-pair entries — is
+// treated as a torn tail.
 //
 // A crash can tear only the last record (appends are sequential);
 // ReadWal validates records front to back, keeps the valid prefix, and

@@ -1,7 +1,8 @@
 // Kernel-layer parity: every tier (scalar, sse2, avx2, avx512) must
 // return bit-identical query results for every kernel, across alignment
 // offsets, tail lengths 0-63, degenerate predicates, and INT64_MIN/MAX
-// boundaries. The scalar tier is the reference. The in-place crack is
+// boundaries. The scalar tier is the reference; the CRC-32 is checked
+// against a bitwise oracle as well. The in-place crack is
 // held to its contract (same boundary, valid sides, same multiset,
 // steps bounded) rather than byte layout — tiers may order elements
 // differently within a side.
@@ -526,6 +527,72 @@ TEST(KernelParityTest, RadixSortFlatHandlesExtremeDomain) {
   kernels::RadixSortFlat(data.data(), scratch.data(), data.size(), kMin,
                          kMax);
   EXPECT_EQ(data, expected);
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial: an oracle that
+/// shares no table or fold with any tier.
+uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t crc) {
+  uint32_t c = ~crc;
+  for (size_t i = 0; i < n; i++) {
+    c ^= p[i];
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+std::vector<uint8_t> RandomBytes(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.NextBounded(256));
+  return bytes;
+}
+
+TEST(KernelParityTest, Crc32CheckValue) {
+  for (const KernelOps* ops : AvailableTiers()) {
+    EXPECT_EQ(ops->crc32("123456789", 9, 0), 0xCBF43926u) << ops->name;
+    EXPECT_EQ(ops->crc32("", 0, 0), 0u) << ops->name;
+    EXPECT_EQ(ops->crc32("", 0, 0xDEADBEEFu), 0xDEADBEEFu) << ops->name;
+  }
+  EXPECT_EQ(kernels::Crc32("123456789", 9), 0xCBF43926u);
+}
+
+TEST(KernelParityTest, Crc32AcrossLengthsOffsetsAndSeeds) {
+  // Lengths 0-300 cover the scalar-only short path (< 64 bytes), every
+  // 16-byte fold count and every tail; offsets 0-15 every alignment of
+  // the 128-bit loads; the seed makes each call a continuation.
+  const std::vector<uint8_t> bytes = RandomBytes(300 + 15, 5);
+  for (const KernelOps* ops : AvailableTiers()) {
+    for (size_t offset = 0; offset <= 15; offset++) {
+      for (size_t n = 0; n <= 300; n++) {
+        const uint32_t seed = static_cast<uint32_t>(n * 2654435761u);
+        ASSERT_EQ(ops->crc32(bytes.data() + offset, n, seed),
+                  BitwiseCrc32(bytes.data() + offset, n, seed))
+            << ops->name << " offset=" << offset << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, Crc32FrameSizedInputsAndChaining) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  const std::vector<uint8_t> bytes = RandomBytes(kMiB + 1 + 7, 9);
+  for (const size_t n : {kMiB - 1, kMiB, kMiB + 1}) {
+    const uint32_t ref = BitwiseCrc32(bytes.data() + 7, n, 0);
+    for (const KernelOps* ops : AvailableTiers()) {
+      EXPECT_EQ(ops->crc32(bytes.data() + 7, n, 0), ref)
+          << ops->name << " n=" << n;
+      // Chained in uneven pieces: each call continues the previous
+      // CRC, so the split points must not matter.
+      uint32_t chained = 0;
+      size_t done = 0;
+      for (size_t piece = 1; done < n; piece = piece * 3 + 5) {
+        const size_t len = std::min(piece, n - done);
+        chained = ops->crc32(bytes.data() + 7 + done, len, chained);
+        done += len;
+      }
+      EXPECT_EQ(chained, ref) << ops->name << " chained n=" << n;
+    }
+  }
 }
 
 TEST(ScatterToChainsTest, MatchesElementwiseAppend) {

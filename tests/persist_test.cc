@@ -1,4 +1,6 @@
-// Durability tests (docs/recovery.md): snapshot container integrity,
+// Durability tests (docs/recovery.md): snapshot container integrity
+// and format (streamed and in-memory publication against a hand-built
+// reference container), hostile counts in snapshots and the WAL,
 // per-index Save/Load round-trip parity (identical state bytes AND
 // identical subsequent query trajectory), checkpoint fallback across
 // corrupt files, torn-tail WAL truncation, and end-to-end server
@@ -12,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -152,6 +155,165 @@ TEST(PersistIoTest, BitFlipAndTruncationAreDetected) {
   EXPECT_FALSE(persist::Reader::FromFile(dir.path + "/absent").ok());
 }
 
+bool FileExists(const std::string& path) {
+  return ::access(path.c_str(), F_OK) == 0;
+}
+
+/// Whole file as bytes ("" when absent).
+std::string ReadFileBytes(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[1 << 16];
+  size_t got;
+  while ((got = std::fread(buf, 1, sizeof(buf), f)) > 0) bytes.append(buf, got);
+  std::fclose(f);
+  return bytes;
+}
+
+/// Bit-at-a-time CRC-32 straight from the polynomial the container
+/// format was defined with, independent of the kernel tiers.
+uint32_t BitwiseCrc32(const std::string& bytes) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (const char ch : bytes) {
+    c ^= static_cast<uint8_t>(ch);
+    for (int k = 0; k < 8; k++) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+/// The container for `payload`, laid out by hand from the format in
+/// persist/io.h: magic, kMaxFrame-byte frames (the last one short), and
+/// the whole-payload CRC terminator.
+std::string ReferenceContainer(const std::string& payload) {
+  std::string out = "PIDXSNP1";
+  auto u32 = [&out](uint32_t v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  for (size_t off = 0; off < payload.size(); off += persist::kMaxFrame) {
+    const std::string chunk = payload.substr(off, persist::kMaxFrame);
+    u32(static_cast<uint32_t>(chunk.size()));
+    u32(BitwiseCrc32(chunk));
+    out += chunk;
+  }
+  u32(0);
+  u32(BitwiseCrc32(payload));
+  return out;
+}
+
+TEST(PersistIoTest, Crc32CombineMatchesConcatenation) {
+  Rng rng(3);
+  std::string bytes(3 * persist::kMaxFrame / 2, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.NextBounded(256));
+  const size_t splits[] = {0, 1, 7, 64, 1000, persist::kMaxFrame, bytes.size()};
+  for (const size_t split : splits) {
+    const uint32_t crc_a = persist::Crc32(bytes.data(), split);
+    const uint32_t crc_b =
+        persist::Crc32(bytes.data() + split, bytes.size() - split);
+    EXPECT_EQ(persist::Crc32Combine(crc_a, crc_b, bytes.size() - split),
+              persist::Crc32(bytes.data(), bytes.size()))
+        << "split=" << split;
+  }
+  // Empty A and empty B.
+  const uint32_t crc_all = persist::Crc32(bytes.data(), 100);
+  EXPECT_EQ(persist::Crc32Combine(0, crc_all, 100), crc_all);
+  EXPECT_EQ(persist::Crc32Combine(crc_all, 0, 0), crc_all);
+  EXPECT_EQ(persist::Crc32Combine(0, 0, 0), 0u);
+}
+
+// Streaming is an implementation of publication, not a format: for the
+// same payload, the streamed file, the in-memory publication and the
+// hand-built reference container are the same bytes — across the frame
+// boundary and for one value run spanning three frames.
+TEST(PersistIoTest, StreamedAndInMemoryPublishAreByteIdentical) {
+  TempDir dir;
+  std::vector<value_t> run(2 * persist::kMaxFrame / sizeof(value_t) + 100);
+  Rng rng(11);
+  for (value_t& v : run) v = static_cast<value_t>(rng.Next());
+  struct Case {
+    const char* name;
+    std::function<void(persist::Writer*)> write;
+  };
+  auto fill_u64s = [](size_t bytes) {
+    return [bytes](persist::Writer* w) {
+      for (uint64_t i = 0; i < bytes / 8; i++) w->WriteU64(i * 0x9E3779B9u);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"frame-8", fill_u64s(persist::kMaxFrame - 8)},
+      {"frame", fill_u64s(persist::kMaxFrame)},
+      {"frame+8", fill_u64s(persist::kMaxFrame + 8)},
+      {"run-spanning-3-frames",
+       [&run](persist::Writer* w) {
+         w->WriteString("header");
+         w->WriteValueVector(run);
+         w->WriteU64(7);
+       }},
+  };
+  for (const Case& c : cases) {
+    persist::Writer memory;
+    c.write(&memory);
+    const std::string memory_path = dir.path + "/memory";
+    ASSERT_TRUE(memory.Publish(memory_path)) << c.name;
+
+    const std::string streamed_path = dir.path + "/streamed";
+    persist::Writer streamed(streamed_path);
+    c.write(&streamed);
+    EXPECT_EQ(streamed.size(), memory.payload().size()) << c.name;
+    ASSERT_TRUE(streamed.Publish(streamed_path)) << c.name;
+
+    const std::string expected = ReferenceContainer(memory.payload());
+    EXPECT_EQ(ReadFileBytes(memory_path), expected) << c.name;
+    EXPECT_EQ(ReadFileBytes(streamed_path), expected) << c.name;
+    EXPECT_FALSE(FileExists(streamed_path + ".tmp")) << c.name;
+
+    persist::Reader r = persist::Reader::FromFile(streamed_path);
+    ASSERT_TRUE(r.ok()) << c.name;
+    persist::Reader ref = persist::Reader::FromPayload(memory.payload());
+    while (!ref.AtEnd()) ASSERT_EQ(r.ReadU64(), ref.ReadU64()) << c.name;
+    EXPECT_TRUE(r.AtEnd()) << c.name;
+  }
+}
+
+TEST(PersistIoTest, UnpublishedStreamingWriterLeavesNoTempFile) {
+  TempDir dir;
+  const std::string path = dir.path + "/snap";
+  {
+    persist::Writer w(path);
+    for (uint64_t i = 0; i < persist::kMaxFrame / 4; i++) w.WriteU64(i);
+    EXPECT_TRUE(FileExists(path + ".tmp"));  // frames already streamed
+  }
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  EXPECT_FALSE(FileExists(path));
+
+  // Publishing to another path is refused, and cleans up the same way.
+  {
+    persist::Writer w(path);
+    w.WriteU64(1);
+    EXPECT_FALSE(w.Publish(dir.path + "/elsewhere"));
+  }
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  EXPECT_FALSE(FileExists(dir.path + "/elsewhere"));
+}
+
+TEST(PersistIoTest, ValueRunCountOverflowIsRejected) {
+  // 24 bytes: a count of 2^61 + 1 — whose byte size wraps to 8 — and two
+  // values. The count must be rejected, not multiplied out.
+  std::string payload;
+  const uint64_t words[3] = {(uint64_t{1} << 61) + 1, 5, 6};
+  payload.append(reinterpret_cast<const char*>(words), sizeof(words));
+  persist::Reader r = persist::Reader::FromPayload(payload);
+  size_t n = 123;
+  EXPECT_EQ(r.ReadValueRun(&n), nullptr);
+  EXPECT_EQ(n, 0u);
+  EXPECT_FALSE(r.ok());
+
+  persist::Reader r2 = persist::Reader::FromPayload(payload);
+  std::vector<value_t> out = {1, 2};
+  EXPECT_FALSE(r2.ReadValueVector(&out));
+  EXPECT_TRUE(out.empty());
+}
+
 // --- per-index round-trip parity ---------------------------------------
 
 class PersistRoundTripTest : public ::testing::TestWithParam<const char*> {};
@@ -245,6 +407,37 @@ TEST(PersistCheckpointTest, SaveLoadAndRetention) {
   EXPECT_EQ(StatePayload(*loaded), StatePayload(*index));
 }
 
+// A checkpoint of real index state, streamed by Checkpointer::Save, is
+// the same file an in-memory writer publishes for the same header and
+// SaveState payload.
+TEST(PersistCheckpointTest, StreamedSnapshotMatchesInMemoryPublish) {
+  TempDir dir;
+  const Column column = MakeUniformColumn(300000, 87);
+  auto index = MakeIndex("pq", column, BudgetSpec::FixedDelta(0.25));
+  for (int i = 0; i < 3; i++) {
+    index->Query({column.min_value() + i, column.max_value() / 2});
+  }
+  persist::Checkpointer ckpt(dir.path, column);
+  persist::SnapshotMeta meta;
+  meta.applied_queries = 3;
+  meta.epochs = 2;
+  ASSERT_TRUE(ckpt.Save(*index, meta));
+
+  persist::Writer w;
+  w.WriteString(index->name());
+  w.WriteU64(column.size());
+  w.WriteU32(persist::Crc32(column.data(), column.size() * sizeof(value_t)));
+  w.WriteU64(meta.applied_queries);
+  w.WriteU64(meta.epochs);
+  w.WriteU64(meta.calibration_crc);
+  index->SaveState(&w);
+  ASSERT_GT(w.payload().size(), persist::kMaxFrame);  // several frames
+  EXPECT_EQ(ckpt.last_snapshot_bytes(), w.payload().size());
+  ASSERT_TRUE(w.Publish(dir.path + "/in_memory"));
+  EXPECT_EQ(ReadFileBytes(dir.path + "/snapshot-0000000001"),
+            ReadFileBytes(dir.path + "/in_memory"));
+}
+
 TEST(PersistCheckpointTest, RejectsWrongIndexAndWrongColumn) {
   TempDir dir;
   const Column column = MakeUniformColumn(4000, 89);
@@ -312,55 +505,81 @@ TEST(PersistWalTest, AppendReadRoundTripAndTornTail) {
   EXPECT_EQ(epochs[2].ops.size(), 3u);
 }
 
-TEST(PersistWalTest, UpdateOpsRoundTripAndLegacyRecordsCoexist) {
+/// Appends one record — u32 len | u32 crc32(body) | body — to `path`
+/// by hand, exactly as a writer would lay it out.
+void AppendRawWalRecord(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const uint32_t len = static_cast<uint32_t>(body.size());
+  const uint32_t crc = persist::Crc32(body.data(), body.size());
+  std::fwrite(&len, 4, 1, f);
+  std::fwrite(&crc, 4, 1, f);
+  std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+}
+
+std::string U64s(std::initializer_list<uint64_t> words) {
+  std::string out;
+  for (const uint64_t w : words) {
+    out.append(reinterpret_cast<const char*>(&w), sizeof(w));
+  }
+  return out;
+}
+
+TEST(PersistWalTest, UpdateOpsRoundTripAndLegacyRecordIsTornTail) {
   TempDir dir;
   const std::string path = dir.path + "/wal";
-  // A legacy record — the pre-update 16-byte query-pair entries —
-  // written by hand, exactly as an old writer laid it out.
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite("PIDXWAL1", 1, 8, f);
-    std::string body;
-    auto u64 = [&body](uint64_t v) {
-      body.append(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    u64(0);                              // first_ticket
-    u64(2);                              // count
-    u64(static_cast<uint64_t>(7));       // q0.low
-    u64(static_cast<uint64_t>(9));       // q0.high
-    u64(static_cast<uint64_t>(-4));      // q1.low
-    u64(static_cast<uint64_t>(12));      // q1.high
-    const uint32_t len = static_cast<uint32_t>(body.size());
-    const uint32_t crc = persist::Crc32(body.data(), body.size());
-    std::fwrite(&len, 4, 1, f);
-    std::fwrite(&crc, 4, 1, f);
-    std::fwrite(body.data(), 1, body.size(), f);
-    std::fclose(f);
-  }
-  // Then a current-format mixed epoch appended by the writer.
+  // A current-format mixed epoch appended by the writer...
   const std::vector<ServeRequest> mixed = {
       ServeRequest::Append(42), RangeQuery{0, 100}, ServeRequest::Delete(42)};
   {
     persist::WalWriter w;
     ASSERT_TRUE(w.Open(path));
-    ASSERT_TRUE(w.AppendEpoch(2, mixed.data(), mixed.size()));
+    ASSERT_TRUE(w.AppendEpoch(0, mixed.data(), mixed.size()));
   }
+  const long valid_bytes = static_cast<long>(ReadFileBytes(path).size());
+  // ...then a CRC-valid record in the retired 16-byte query-pair
+  // layout (first_ticket, count 2, two low/high pairs). No reader
+  // accepts that shape any more: it is a torn tail.
+  AppendRawWalRecord(path, U64s({3, 2, 7, 9, static_cast<uint64_t>(-4), 12}));
+
   std::vector<persist::WalEpoch> epochs;
   bool torn = false;
   ASSERT_TRUE(persist::ReadWal(path, &epochs, &torn));
-  EXPECT_FALSE(torn);
-  ASSERT_EQ(epochs.size(), 2u);
-  ASSERT_EQ(epochs[0].ops.size(), 2u);
-  EXPECT_TRUE(epochs[0].ops[0].is_query());
-  EXPECT_EQ(epochs[0].ops[1].query.low, -4);
-  ASSERT_EQ(epochs[1].ops.size(), 3u);
-  EXPECT_EQ(epochs[1].ops[0].op, OpKind::kAppend);
-  EXPECT_EQ(epochs[1].ops[0].value, 42);
-  EXPECT_TRUE(epochs[1].ops[1].is_query());
-  EXPECT_EQ(epochs[1].ops[1].query.high, 100);
-  EXPECT_EQ(epochs[1].ops[2].op, OpKind::kDelete);
-  EXPECT_EQ(epochs[1].ops[2].value, 42);
+  EXPECT_TRUE(torn);
+  ASSERT_EQ(epochs.size(), 1u);
+  ASSERT_EQ(epochs[0].ops.size(), 3u);
+  EXPECT_EQ(epochs[0].ops[0].op, OpKind::kAppend);
+  EXPECT_EQ(epochs[0].ops[0].value, 42);
+  EXPECT_TRUE(epochs[0].ops[1].is_query());
+  EXPECT_EQ(epochs[0].ops[1].query.high, 100);
+  EXPECT_EQ(epochs[0].ops[2].op, OpKind::kDelete);
+  EXPECT_EQ(epochs[0].ops[2].value, 42);
+  EXPECT_EQ(static_cast<long>(ReadFileBytes(path).size()), valid_bytes);
+}
+
+TEST(PersistWalTest, WrappingCountRecordIsTornTail) {
+  TempDir dir;
+  const std::string path = dir.path + "/wal";
+  const std::vector<ServeRequest> ops = {RangeQuery{1, 5}};
+  {
+    persist::WalWriter w;
+    ASSERT_TRUE(w.Open(path));
+    ASSERT_TRUE(w.AppendEpoch(0, ops.data(), ops.size()));
+  }
+  const long valid_bytes = static_cast<long>(ReadFileBytes(path).size());
+  // A CRC-valid 40-byte body whose count, 2^61 + 1, makes 16 + count·24
+  // wrap to exactly 40: it must read as a torn tail, not as an epoch of
+  // 2^61 + 1 ops.
+  AppendRawWalRecord(path, U64s({1, (uint64_t{1} << 61) + 1, 0, 1, 5}));
+
+  std::vector<persist::WalEpoch> epochs;
+  bool torn = false;
+  ASSERT_TRUE(persist::ReadWal(path, &epochs, &torn));
+  EXPECT_TRUE(torn);
+  ASSERT_EQ(epochs.size(), 1u);
+  EXPECT_EQ(epochs[0].ops[0].query.high, 5);
+  EXPECT_EQ(static_cast<long>(ReadFileBytes(path).size()), valid_bytes);
 }
 
 TEST(PersistWalTest, CorruptRecordTruncatesSuffix) {
