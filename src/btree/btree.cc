@@ -57,13 +57,13 @@ size_t BPlusTree::LowerBound(value_t v) const {
 
 QueryResult BPlusTree::RangeSum(const RangeQuery& q) const {
   const size_t begin = LowerBound(q.low);
-  int64_t sum = 0;
+  uint64_t sum = 0;  // mod 2^64, like the kernels
   int64_t count = 0;
   for (size_t i = begin; i < n_ && sorted_[i] <= q.high; i++) {
-    sum += sorted_[i];
+    sum += static_cast<uint64_t>(sorted_[i]);
     count++;
   }
-  return {sum, count};
+  return {static_cast<int64_t>(sum), count};
 }
 
 void BPlusTree::SaveState(persist::Writer* w) const {

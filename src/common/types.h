@@ -28,6 +28,24 @@ struct QueryResult {
   int64_t sum = 0;
   int64_t count = 0;
 
+  /// Merge and remove partial answers. The arithmetic wraps mod 2^64,
+  /// as the scan kernels' does: a SUM of 64-bit values may exceed
+  /// int64_t, and partials must combine to the same bits in any order.
+  QueryResult& operator+=(const QueryResult& o) {
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) +
+                               static_cast<uint64_t>(o.sum));
+    count = static_cast<int64_t>(static_cast<uint64_t>(count) +
+                                 static_cast<uint64_t>(o.count));
+    return *this;
+  }
+  QueryResult& operator-=(const QueryResult& o) {
+    sum = static_cast<int64_t>(static_cast<uint64_t>(sum) -
+                               static_cast<uint64_t>(o.sum));
+    count = static_cast<int64_t>(static_cast<uint64_t>(count) -
+                                 static_cast<uint64_t>(o.count));
+    return *this;
+  }
+
   friend bool operator==(const QueryResult&, const QueryResult&) = default;
 };
 

@@ -33,7 +33,10 @@ void IncrementalQuicksort::InitPrePartitioned(value_t* data, size_t n,
   root_->min_v = min_v;
   root_->max_v = max_v;
   root_->partitioned = true;
-  root_->left = MakeNode(0, boundary, min_v, pivot - 1, 2);
+  // A pivot at INT64_MIN leaves the left side empty; its bound wraps.
+  root_->left = MakeNode(0, boundary, min_v,
+                         static_cast<value_t>(static_cast<uint64_t>(pivot) - 1),
+                         2);
   root_->right = MakeNode(boundary, n, pivot, max_v, 2);
   if (root_->left->sorted && root_->right->sorted) {
     root_->sorted = true;
@@ -58,8 +61,12 @@ std::unique_ptr<IncrementalQuicksort::Node> IncrementalQuicksort::MakeNode(
     return node;
   }
   // Pivot = value-range midpoint, rounded up so both halves of the
-  // range are non-empty and recursion always terminates.
-  node->pivot = min_v + (max_v - min_v + 1) / 2;
+  // range are non-empty and recursion always terminates. The width is
+  // taken in uint64_t: a full 64-bit range exceeds INT64_MAX.
+  const uint64_t width =
+      static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
+  node->pivot = static_cast<value_t>(static_cast<uint64_t>(min_v) +
+                                     width / 2 + (width & 1));
   node->lo = start;
   node->hi = end - 1;
   return node;
@@ -264,15 +271,21 @@ bool IncrementalQuicksort::LoadNode(persist::Reader* r,
   node->partitioned = r->ReadBool();
   node->sorted = r->ReadBool();
   // Reject spans that would index outside the bound array; lo/hi are
-  // only meaningful mid-partition, where they must sit inside the span
-  // (hi is inclusive and may wrap to SIZE_MAX when a partition consumed
-  // a whole span starting at 0, which AtEnd-style checks handle).
+  // only meaningful mid-partition, where the unclassified region
+  // [lo, hi] is non-empty and inside the span (a finished partition
+  // may leave hi wrapped to SIZE_MAX, but then the node is partitioned
+  // and its children carry on).
   if (!r->ok() || node->end > n_ || node->start > node->end) return false;
   if (!node->sorted && !node->partitioned && node->end > node->start &&
-      (node->lo < node->start || node->lo > node->end)) {
+      (node->lo < node->start || node->lo > node->hi ||
+       node->hi >= node->end)) {
     return false;
   }
   if (!LoadNode(r, &node->left) || !LoadNode(r, &node->right)) return false;
+  if (node->partitioned && !node->sorted &&
+      (node->left == nullptr || node->right == nullptr)) {
+    return false;
+  }
   *out = std::move(node);
   return true;
 }
@@ -285,12 +298,15 @@ void IncrementalQuicksort::SaveState(persist::Writer* w) const {
   SaveNode(root_.get(), w);
 }
 
-bool IncrementalQuicksort::LoadState(persist::Reader* r, value_t* data) {
+bool IncrementalQuicksort::LoadState(persist::Reader* r, value_t* data,
+                                     size_t n) {
   n_ = r->ReadU64();
   l1_elements_ = r->ReadU64();
   sort_unit_scale_ = r->ReadDouble();
   height_ = r->ReadU64();
-  if (!r->ok() || l1_elements_ == 0 || sort_unit_scale_ <= 0) return false;
+  if (!r->ok() || n_ != n || l1_elements_ == 0 || sort_unit_scale_ <= 0) {
+    return false;
+  }
   data_ = data;
   pending_leaf_sorts_.clear();
   defer_leaf_sorts_ = false;

@@ -104,10 +104,10 @@ class IncrementalQuicksort {
   /// preorder (docs/recovery.md). Must only be called between DoWork
   /// calls (pending_leaf_sorts_ is empty then, by invariant).
   void SaveState(persist::Writer* w) const;
-  /// Restores a sort saved by SaveState, rebinding it to `data` (the
-  /// owning index's reloaded array). Returns false on a corrupt
-  /// payload or an impossible node span.
-  bool LoadState(persist::Reader* r, value_t* data);
+  /// Restores a sort saved by SaveState, rebinding it to `data[0, n)`
+  /// (the owning index's reloaded array). Returns false on a corrupt
+  /// payload, a sort over any other length, or an impossible node span.
+  bool LoadState(persist::Reader* r, value_t* data, size_t n);
 
  private:
   struct Node {

@@ -1,18 +1,11 @@
 #ifndef PROGIDX_CORE_PROGRESSIVE_BUCKETSORT_H_
 #define PROGIDX_CORE_PROGRESSIVE_BUCKETSORT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "core/budget.h"
 #include "core/incremental_quicksort.h"
-#include "core/index_base.h"
-#include "core/progressive_quicksort.h"
-#include "cost/cost_model.h"
-#include "exec/shared_scan.h"
-#include "obs/telemetry.h"
+#include "core/progressive_index.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -27,7 +20,7 @@ namespace progidx {
 /// statistics"). Refinement merges the buckets in value order into the
 /// final array, sorting each segment with Progressive Quicksort — at
 /// most one segment sorter is active at a time.
-class ProgressiveBucketsort : public IndexBase {
+class ProgressiveBucketsort : public ProgressiveIndex {
  public:
   enum class Phase { kCreation, kRefinement, kConsolidation, kDone };
 
@@ -35,65 +28,41 @@ class ProgressiveBucketsort : public IndexBase {
                         const ProgressiveOptions& options = {},
                         uint64_t sample_seed = 42);
 
-  QueryResult Query(const RangeQuery& q) override;
-  void QueryBatch(const RangeQuery* qs, size_t count,
-                  QueryResult* out) override;
-  bool converged() const override { return phase_ == Phase::kDone; }
-  double ConvergenceFraction() const override;
   std::string name() const override { return "P. Bucketsort"; }
-  double last_predicted_cost() const override { return predicted_; }
 
-  /// Checkpointing seam (docs/recovery.md): phase, sampled bucket
-  /// bounds, every bucket chain, the merge/fill cursors, the active
-  /// segment sorter, and B+-tree build progress.
-  bool SupportsPersistence() const override { return true; }
-  const MachineConstants* machine_constants() const override {
-    return &model_.constants();
-  }
-  void SaveState(persist::Writer* w) const override;
-  bool LoadState(persist::Reader* r) override;
-
-  /// Read-epoch path (docs/serving.md): converged answers are pure
-  /// B+-tree lookups, race-free for concurrent readers.
-  bool TryReadOnlyQuery(const RangeQuery& q, QueryResult* out) const override {
-    if (phase_ != Phase::kDone) return false;
-    *out = btree_.RangeSum(q);
-    return true;
-  }
-
-  Phase phase() const { return phase_; }
+  Phase phase() const { return static_cast<Phase>(phase_index()); }
   const std::vector<value_t>& final_array() const { return final_; }
   const std::vector<value_t>& boundaries() const { return boundaries_; }
-  const CostModel& cost_model() const { return model_; }
 
  private:
   size_t BucketOf(value_t v) const;
   /// Inclusive value bounds of bucket `b`.
   value_t BucketLo(size_t b) const;
   value_t BucketHi(size_t b) const;
-  double OpSecsForPhase(Phase phase) const;
-  double EstimateAnswerSecs(const RangeQuery& q) const;
-  double SelectivityEstimate(const RangeQuery& q) const;
-  void DoWorkSecs(double secs);
+  /// True when bucket `b` can hold values of `q`.
+  bool Reaches(size_t b, const RangeQuery& q) const {
+    return BucketHi(b) >= q.low && BucketLo(b) <= q.high;
+  }
+  double BuildOpSecs() const override;
+  double EstimateBuildAnswerSecs(const RangeQuery& q) const override;
+  Prediction PredictBuild(const RangeQuery& q, double answer_est,
+                          double delta) const override;
+  size_t BuildWork(size_t units) override;
   /// Starts merging bucket `merge_bucket_` into its final_ segment.
   void BeginActiveBucket();
-  /// The whole Query() prologue (budget→δ, prediction, indexing work),
-  /// shared verbatim by Query and QueryBatch.
-  void PrepareQuery(const RangeQuery& q);
-  QueryResult Answer(const RangeQuery& q) const;
-  /// Batch answer: per-query value-pruned bucket lookups plus one
-  /// shared PredicateSet pass over the unbucketed remainder.
-  void AnswerBatch(const RangeQuery* qs, size_t count, QueryResult* out) const;
-  void EnterConsolidation();
+  QueryResult AnswerBuild(const RangeQuery& q) const override;
+  /// Per-query value-pruned bucket lookups (creation) or sorted-prefix
+  /// lookups (refinement), plus one shared pass over the unrefined rest.
+  void AnswerBuildBatch(const RangeQuery* qs, size_t count,
+                        QueryResult* out) const override;
+  double BuildConvergenceFraction() const override;
+  /// Snapshot body: domain, sampled bucket bounds, final_, every bucket
+  /// chain, the merge/fill cursors, the active segment sorter, and the
+  /// budget.
+  void SaveBody(persist::Writer* w) const override;
+  bool LoadBody(persist::Reader* r) override;
+  const value_t* SortedArray() const override { return final_.data(); }
 
-  const Column& column_;
-  ProgressiveOptions options_;
-  CostModel model_;
-  BudgetController budget_;
-
-  Phase phase_ = Phase::kCreation;
-  value_t min_ = 0;
-  value_t max_ = 0;
   std::vector<value_t> boundaries_;  ///< b − 1 ascending split values
   std::vector<BucketChain> buckets_;
   size_t copy_pos_ = 0;
@@ -111,28 +80,11 @@ class ProgressiveBucketsort : public IndexBase {
 
   std::vector<value_t> final_;
 
-  BPlusTree btree_;
-  std::unique_ptr<ProgressiveBTreeBuilder> builder_;
-
-  double predicted_ = 0;
-  /// predicted_ decomposed for batch pricing (see docs/batching.md);
-  /// the elem term prices the shared scan's per-element cost (chain
-  /// rate during refinement, seq_read elsewhere).
-  double pred_index_secs_ = 0;
-  double pred_shared_secs_ = 0;
-  double pred_private_secs_ = 0;
-  double pred_shared_elem_secs_ = 0;
   /// Chain-resident elements of the last refinement-phase
-  /// EstimateAnswerSecs — the share a batch scans once.
+  /// EstimateBuildAnswerSecs — the share a batch scans once.
   mutable double est_chain_elems_ = 0;
-  RangeQuery last_query_hint_;
-  /// Residual + span telemetry (docs/observability.md); written only
-  /// by the Query/QueryBatch thread, never consulted for decisions.
-  obs::IndexTelemetry telemetry_{"pb"};
   mutable std::vector<ScanRange> scratch_ranges_;
-  mutable exec::PredicateSet pset_;
-  mutable std::vector<exec::SrcBlock> scratch_runs_;
-  mutable std::vector<exec::PosRange> scratch_pos_ranges_;
+  mutable std::vector<parallel::SrcRun> scratch_runs_;
 };
 
 }  // namespace progidx

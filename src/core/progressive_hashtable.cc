@@ -90,8 +90,12 @@ QueryResult ProgressiveHashTable::Query(const RangeQuery& q) {
     const int64_t indexed_count = LookupCount(q.low);
     const QueryResult rest = PredicatedRangeSum(
         column_.data() + copy_pos_, n - copy_pos_, q);
-    return QueryResult{q.low * indexed_count + rest.sum,
-                       indexed_count + rest.count};
+    // The product wraps mod 2^64, like every SUM.
+    const uint64_t indexed_sum = static_cast<uint64_t>(q.low) *
+                                 static_cast<uint64_t>(indexed_count);
+    QueryResult result{static_cast<int64_t>(indexed_sum), indexed_count};
+    result += rest;
+    return result;
   }
   // Range queries bypass the hash table entirely.
   return PredicatedRangeSum(column_.data(), n, q);

@@ -117,18 +117,12 @@ QueryResult ProgressiveImprints::Query(const RangeQuery& q) {
     if ((imprints_[l] & mask) == 0) continue;
     const size_t start = l * line_elements_;
     const size_t end = std::min(n, start + line_elements_);
-    const QueryResult part =
-        PredicatedRangeSum(data + start, end - start, q);
-    result.sum += part.sum;
-    result.count += part.count;
+    result += PredicatedRangeSum(data + start, end - start, q);
   }
   // ...plus a plain scan of the uncovered suffix.
   const size_t suffix_start = lines_built_ * line_elements_;
   if (suffix_start < n) {
-    const QueryResult rest =
-        PredicatedRangeSum(data + suffix_start, n - suffix_start, q);
-    result.sum += rest.sum;
-    result.count += rest.count;
+    result += PredicatedRangeSum(data + suffix_start, n - suffix_start, q);
   }
   return result;
 }

@@ -5,8 +5,6 @@
 
 #include "common/predication.h"
 #include "common/rng.h"
-#include "exec/batch_refine.h"
-#include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
@@ -15,486 +13,249 @@ namespace progidx {
 ProgressiveQuicksort::ProgressiveQuicksort(const Column& column,
                                            const BudgetSpec& budget,
                                            const ProgressiveOptions& options)
-    : column_(column),
-      options_(options),
-      model_(options.Machine(), column.size(), options.bucket_count,
-             options.block_capacity),
-      budget_(budget, model_) {
+    : ProgressiveIndex(column, budget, options, "pq", 2) {
   const size_t n = column_.size();
   index_.resize(n);
   low_pos_ = 0;
   high_pos_ = static_cast<int64_t>(n) - 1;
-  // §3.1: pivot = average of the column's smallest and largest value.
-  pivot_ = column_.min_value() +
-           (column_.max_value() - column_.min_value()) / 2;
-  if (n == 0) phase_ = Phase::kDone;
+  // §3.1: pivot = average of the column's smallest and largest value
+  // (the width in uint64_t: a full 64-bit domain exceeds INT64_MAX).
+  pivot_ = static_cast<value_t>(
+      static_cast<uint64_t>(min_) +
+      (static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_)) / 2);
 }
 
-double ProgressiveQuicksort::OpSecsForPhase(Phase phase) const {
-  switch (phase) {
-    case Phase::kCreation:
-      return model_.PivotSecs();
-    case Phase::kRefinement:
-      return model_.SwapSecs();
-    case Phase::kConsolidation:
-      return model_.ConsolidateSecs(options_.btree_fanout);
-    case Phase::kDone:
-      return 0;
-  }
-  return 0;
+double ProgressiveQuicksort::BuildOpSecs() const {
+  return phase() == Phase::kCreation ? model_.PivotSecs() : model_.SwapSecs();
 }
 
-double ProgressiveQuicksort::SelectivityEstimate(const RangeQuery& q) const {
-  const double domain = static_cast<double>(column_.max_value()) -
-                        static_cast<double>(column_.min_value()) + 1.0;
-  if (domain <= 0) return 1.0;
-  const double width = static_cast<double>(q.high) -
-                       static_cast<double>(q.low) + 1.0;
-  return std::clamp(width / domain, 0.0, 1.0);
-}
-
-double ProgressiveQuicksort::EstimateAnswerSecs(const RangeQuery& q) const {
+double ProgressiveQuicksort::EstimateBuildAnswerSecs(
+    const RangeQuery& q) const {
   const MachineConstants& mc = model_.constants();
   const size_t n = column_.size();
-  switch (phase_) {
-    case Phase::kCreation: {
-      double elems = static_cast<double>(n - copy_pos_);
-      if (q.low < pivot_) elems += static_cast<double>(low_pos_);
-      if (q.high >= pivot_) {
-        elems += static_cast<double>(n) - 1.0 -
-                 static_cast<double>(high_pos_);
-      }
-      return mc.seq_read_secs * elems;
+  if (phase() == Phase::kCreation) {
+    double elems = static_cast<double>(n - copy_pos_);
+    if (q.low < pivot_) elems += static_cast<double>(low_pos_);
+    if (q.high >= pivot_) {
+      elems += static_cast<double>(n) - 1.0 - static_cast<double>(high_pos_);
     }
-    case Phase::kRefinement: {
-      scratch_ranges_.clear();
-      sorter_.CollectRanges(q, &scratch_ranges_);
-      double unsorted = 0;
-      for (const ScanRange& r : scratch_ranges_) {
-        if (!r.sorted) unsorted += static_cast<double>(r.end - r.start);
-      }
-      est_unsorted_elems_ = unsorted;
-      const double matched = SelectivityEstimate(q) * static_cast<double>(n);
-      return model_.TreeLookupSecs(sorter_.height()) +
-             mc.seq_read_secs * (unsorted + matched);
-    }
-    case Phase::kConsolidation:
-    case Phase::kDone: {
-      const double matched = SelectivityEstimate(q) * static_cast<double>(n);
-      return model_.BinarySearchSecs() + mc.seq_read_secs * matched;
-    }
+    return mc.seq_read_secs * elems;
   }
-  return 0;
+  scratch_ranges_.clear();
+  sorter_.CollectRanges(q, &scratch_ranges_);
+  double unsorted = 0;
+  for (const ScanRange& r : scratch_ranges_) {
+    if (!r.sorted) unsorted += static_cast<double>(r.end - r.start);
+  }
+  est_unsorted_elems_ = unsorted;
+  const double matched = SelectivityEstimate(q) * static_cast<double>(n);
+  return model_.TreeLookupSecs(sorter_.height()) +
+         mc.seq_read_secs * (unsorted + matched);
 }
 
-void ProgressiveQuicksort::DoWorkSecs(double secs) {
+ProgressiveIndex::Prediction ProgressiveQuicksort::PredictBuild(
+    const RangeQuery& q, double answer_est, double delta) const {
+  const double n = static_cast<double>(column_.size());
+  const double seq_read = model_.constants().seq_read_secs;
+  if (phase() == Phase::kCreation) {
+    const double rho = static_cast<double>(copy_pos_) / n;
+    double alpha = 0;
+    if (q.low < pivot_) alpha += static_cast<double>(low_pos_) / n;
+    if (q.high >= pivot_) {
+      alpha += (n - 1.0 - static_cast<double>(high_pos_)) / n;
+    }
+    double total = model_.QuicksortCreate(rho, alpha, delta);
+    // Both terms execute across the pool — the δ·t_pivot partition
+    // through the chunked primitive, the scan share through the
+    // parallel tiled reduction (the scanned regions here are big
+    // contiguous spans, unlike the radix/bucket indexes' block-wise
+    // chain walks, which stay serial-priced because they stay
+    // serial). Re-price each with the measured parallel-efficiency
+    // curve; work units themselves stay serial-priced — see
+    // docs/parallel.md.
+    const double pivot_term = delta * model_.PivotSecs();
+    const size_t slice = static_cast<size_t>(delta * n);
+    total += model_.ThreadedSecs(pivot_term,
+                                 parallel::PlannedPartitionLanes(slice)) -
+             pivot_term;
+    const double scan_term = (1.0 - rho + alpha - delta) * model_.ScanSecs();
+    const size_t scanned = static_cast<size_t>((1.0 - rho + alpha) * n);
+    total += model_.ThreadedSecs(scan_term, parallel::PlannedLanes(scanned)) -
+             scan_term;
+    // Batch decomposition, serial-priced like the other indexes':
+    // SharedScanSecs recovers element counts from seq_read_secs, so
+    // the shared term must not carry the threading discount.
+    return {total, pivot_term, scan_term, 0, seq_read};
+  }
+  const double alpha = answer_est / model_.ScanSecs();
+  // Atomic-leaf floor: once refinement reaches sort-outright leaves, a
+  // query pays at least one whole leaf sort regardless of δ (the seed's
+  // scalar constants masked this; the vectorized crack exposed it as
+  // fig8 overshoot).
+  const double leaf_secs = static_cast<double>(sorter_.NextLeafSortUnits(q)) *
+                           model_.SwapSecs() / n;
+  double total = model_.QuicksortRefineWithLeafFloor(sorter_.height(), alpha,
+                                                     delta, leaf_secs);
+  // The α scan share runs the parallel tiled reduction over the
+  // collected ranges; re-price it like the creation-phase terms.
+  const double scan_term = alpha * model_.ScanSecs();
+  const size_t scanned = static_cast<size_t>(alpha * n);
+  total += model_.ThreadedSecs(scan_term, parallel::PlannedLanes(scanned)) -
+           scan_term;
+  // Serial-priced decomposition (see the creation-phase note). The
+  // shared term is exactly the unsorted pivot-tree union the batch
+  // scans once; sorted-range lookups and the tree descent stay per
+  // query.
+  const double unsorted_secs = seq_read * est_unsorted_elems_;
+  return {total, std::max(delta * model_.SwapSecs(), leaf_secs), unsorted_secs,
+          std::max(answer_est - unsorted_secs, 0.0), seq_read};
+}
+
+size_t ProgressiveQuicksort::BuildWork(size_t units) {
   const size_t n = column_.size();
-  while (secs > 0 && phase_ != Phase::kDone) {
-    switch (phase_) {
-      case Phase::kCreation: {
-        const double unit =
-            ClampWorkUnit(model_.PivotSecs() / static_cast<double>(n));
-        size_t elems = UnitsForSecs(secs, unit);
-        elems = std::min(elems, n - copy_pos_);
-        // Two-sided partition (§3.1), via the parallel primitive:
-        // chunks of the slice partition concurrently into precomputed
-        // disjoint frontier slices (each chunk through the dispatched
-        // kernel — compress-store on AVX2/AVX-512, predicated
-        // dual-frontier writes in the scalar tier), so the same δ of
-        // budgeted work finishes in 1/T the wall-clock time.
-        size_t lo = low_pos_;
-        int64_t hi = high_pos_;
-        parallel::PartitionTwoSided(column_.data() + copy_pos_, elems, pivot_,
-                                    index_.data(), &lo, &hi);
-        copy_pos_ += elems;
-        low_pos_ = lo;
-        high_pos_ = hi;
-        secs -= static_cast<double>(elems) * unit;
-        if (copy_pos_ == n) {
-          // Creation done: index_ is partitioned around pivot_ at
-          // low_pos_; hand it to the refinement engine.
-          sorter_.InitPrePartitioned(index_.data(), n, pivot_, low_pos_,
-                                     column_.min_value(),
-                                     column_.max_value(),
-                                     model_.constants().l1_cache_elements);
-          sorter_.set_sort_unit_scale(model_.constants().sort_unit_scale);
-          phase_ = Phase::kRefinement;
-          if (sorter_.done()) {
-            btree_ = BPlusTree(index_.data(), n, options_.btree_fanout);
-            builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
-            phase_ = Phase::kConsolidation;
-          }
-        }
-        break;
-      }
-      case Phase::kRefinement: {
-        const double unit =
-            ClampWorkUnit(model_.SwapSecs() / static_cast<double>(n));
-        const size_t elems = UnitsForSecs(secs, unit);
-        const size_t used = sorter_.DoWork(elems, last_query_hint_);
-        secs -= static_cast<double>(std::max(used, size_t{1})) * unit;
-        if (sorter_.done()) {
-          btree_ = BPlusTree(index_.data(), n, options_.btree_fanout);
-          builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
-          phase_ = Phase::kConsolidation;
-        }
-        break;
-      }
-      case Phase::kConsolidation: {
-        const size_t total_keys = std::max(btree_.TotalInternalKeys(),
-                                           size_t{1});
-        const double unit =
-            ClampWorkUnit(model_.ConsolidateSecs(options_.btree_fanout) /
-                          static_cast<double>(total_keys));
-        const size_t keys = UnitsForSecs(secs, unit);
-        const size_t used = builder_->DoWork(keys);
-        secs -= static_cast<double>(std::max(used, size_t{1})) * unit;
-        if (builder_->done()) phase_ = Phase::kDone;
-        break;
-      }
-      case Phase::kDone:
-        return;
-    }
+  if (phase() == Phase::kRefinement) {
+    const size_t used = sorter_.DoWork(units, last_query_hint_);
+    if (sorter_.done()) EnterConsolidation();
+    return std::max(used, size_t{1});
   }
+  const size_t elems = std::min(units, n - copy_pos_);
+  // Two-sided partition (§3.1), via the parallel primitive: chunks of
+  // the slice partition concurrently into precomputed disjoint frontier
+  // slices (each chunk through the dispatched kernel — compress-store on
+  // AVX2/AVX-512, predicated dual-frontier writes in the scalar tier),
+  // so the same δ of budgeted work finishes in 1/T the wall-clock time.
+  parallel::PartitionTwoSided(column_.data() + copy_pos_, elems, pivot_,
+                              index_.data(), &low_pos_, &high_pos_);
+  copy_pos_ += elems;
+  if (copy_pos_ == n) {
+    // Creation done: index_ is partitioned around pivot_ at low_pos_;
+    // hand it to the refinement engine.
+    sorter_.InitPrePartitioned(index_.data(), n, pivot_, low_pos_, min_, max_,
+                               model_.constants().l1_cache_elements);
+    sorter_.set_sort_unit_scale(model_.constants().sort_unit_scale);
+    SetPhase(Phase::kRefinement);
+    if (sorter_.done()) EnterConsolidation();
+  }
+  return elems;
 }
 
-QueryResult ProgressiveQuicksort::Answer(const RangeQuery& q) const {
+QueryResult ProgressiveQuicksort::FringeSum(const RangeQuery& q) const {
   const size_t n = column_.size();
   QueryResult result;
-  switch (phase_) {
-    case Phase::kCreation: {
-      // Indexed fringes of the index array...
-      if (q.low < pivot_ && low_pos_ > 0) {
-        const QueryResult part =
-            PredicatedRangeSum(index_.data(), low_pos_, q);
-        result.sum += part.sum;
-        result.count += part.count;
-      }
-      if (q.high >= pivot_ &&
-          high_pos_ + 1 < static_cast<int64_t>(n)) {
-        const size_t start = static_cast<size_t>(high_pos_ + 1);
-        const QueryResult part =
-            PredicatedRangeSum(index_.data() + start, n - start, q);
-        result.sum += part.sum;
-        result.count += part.count;
-      }
-      // ...plus the not-yet-copied tail of the base column.
-      const QueryResult rest = PredicatedRangeSum(
-          column_.data() + copy_pos_, n - copy_pos_, q);
-      result.sum += rest.sum;
-      result.count += rest.count;
-      return result;
-    }
-    case Phase::kRefinement: {
-      scratch_ranges_.clear();
-      sorter_.CollectRanges(q, &scratch_ranges_);
-      for (const ScanRange& r : scratch_ranges_) {
-        const QueryResult part =
-            r.sorted
-                ? SortedRangeSum(index_.data() + r.start, r.end - r.start, q)
-                : PredicatedRangeSum(index_.data() + r.start,
-                                     r.end - r.start, q);
-        result.sum += part.sum;
-        result.count += part.count;
-      }
-      return result;
-    }
-    case Phase::kConsolidation:
-    case Phase::kDone:
-      return btree_.RangeSum(q);
+  if (q.low < pivot_ && low_pos_ > 0) {
+    result += PredicatedRangeSum(index_.data(), low_pos_, q);
+  }
+  if (q.high >= pivot_ && high_pos_ + 1 < static_cast<int64_t>(n)) {
+    const size_t start = static_cast<size_t>(high_pos_ + 1);
+    result += PredicatedRangeSum(index_.data() + start, n - start, q);
   }
   return result;
 }
 
-void ProgressiveQuicksort::PrepareQuery(const RangeQuery& q) {
-  last_query_hint_ = q;
-  const Phase phase_at_start = phase_;
-  const double op_secs =
-      ClampOpSecs(OpSecsForPhase(phase_at_start), column_.size());
-  const double answer_est = EstimateAnswerSecs(q);
-  double delta = 0;
-  if (phase_at_start != Phase::kDone) {
-    delta = budget_.DeltaForQuery(op_secs, answer_est);
+QueryResult ProgressiveQuicksort::AnswerBuild(const RangeQuery& q) const {
+  if (phase() == Phase::kCreation) {
+    // Indexed fringes of the index array, plus the not-yet-copied tail
+    // of the base column.
+    const size_t n = column_.size();
+    QueryResult result = FringeSum(q);
+    result += PredicatedRangeSum(column_.data() + copy_pos_, n - copy_pos_, q);
+    return result;
   }
-  // Cost-model prediction for this query (Figures 8/9), using the
-  // phase formulas of §3.1 with the state at query start.
-  const double n = static_cast<double>(column_.size());
-  switch (phase_at_start) {
-    case Phase::kCreation: {
-      const double rho = static_cast<double>(copy_pos_) / n;
-      double alpha = 0;
-      if (q.low < pivot_) alpha += static_cast<double>(low_pos_) / n;
-      if (q.high >= pivot_) {
-        alpha += (n - 1.0 - static_cast<double>(high_pos_)) / n;
-      }
-      predicted_ = model_.QuicksortCreate(rho, alpha, delta);
-      // Both terms execute across the pool — the δ·t_pivot partition
-      // through the chunked primitive, the scan share through the
-      // parallel tiled reduction (the scanned regions here are big
-      // contiguous spans, unlike the radix/bucket indexes' block-wise
-      // chain walks, which stay serial-priced because they stay
-      // serial). Re-price each with the measured parallel-efficiency
-      // curve; work units themselves stay serial-priced — see
-      // docs/parallel.md.
-      const double pivot_term = delta * model_.PivotSecs();
-      const size_t slice = static_cast<size_t>(delta * n);
-      predicted_ += model_.ThreadedSecs(
-                        pivot_term, parallel::PlannedPartitionLanes(slice)) -
-                    pivot_term;
-      const double scan_term = (1.0 - rho + alpha - delta) * model_.ScanSecs();
-      const size_t scanned = static_cast<size_t>((1.0 - rho + alpha) * n);
-      const double scan_threaded =
-          model_.ThreadedSecs(scan_term, parallel::PlannedLanes(scanned));
-      predicted_ += scan_threaded - scan_term;
-      // Batch decomposition, serial-priced like the other indexes':
-      // SharedScanSecs recovers element counts from seq_read_secs, so
-      // the shared term must not carry the threading discount.
-      pred_index_secs_ = delta * model_.PivotSecs();
-      pred_shared_secs_ = scan_term;
-      pred_private_secs_ = 0;
-      pred_shared_elem_secs_ = model_.constants().seq_read_secs;
-      break;
-    }
-    case Phase::kRefinement: {
-      const double alpha = answer_est / model_.ScanSecs();
-      // Atomic-leaf floor: once refinement reaches sort-outright
-      // leaves, a query pays at least one whole leaf sort regardless
-      // of δ (the seed's scalar constants masked this; the vectorized
-      // crack exposed it as fig8 overshoot).
-      const double leaf_secs =
-          static_cast<double>(sorter_.NextLeafSortUnits(q)) *
-          model_.SwapSecs() / n;
-      predicted_ = model_.QuicksortRefineWithLeafFloor(sorter_.height(),
-                                                       alpha, delta,
-                                                       leaf_secs);
-      // The α scan share runs the parallel tiled reduction over the
-      // collected ranges; re-price it like the creation-phase terms.
-      const double scan_term = alpha * model_.ScanSecs();
-      const size_t scanned = static_cast<size_t>(alpha * n);
-      const double scan_threaded =
-          model_.ThreadedSecs(scan_term, parallel::PlannedLanes(scanned));
-      predicted_ += scan_threaded - scan_term;
-      // Serial-priced decomposition (see the creation-phase note). The
-      // shared term is exactly the unsorted pivot-tree union the batch
-      // scans once; sorted-range lookups and the tree descent stay per
-      // query.
-      const double unsorted_secs =
-          model_.constants().seq_read_secs * est_unsorted_elems_;
-      pred_index_secs_ = std::max(delta * model_.SwapSecs(), leaf_secs);
-      pred_shared_secs_ = unsorted_secs;
-      pred_private_secs_ = std::max(answer_est - unsorted_secs, 0.0);
-      pred_shared_elem_secs_ = model_.constants().seq_read_secs;
-      break;
-    }
-    case Phase::kConsolidation: {
-      const double alpha = SelectivityEstimate(q);
-      predicted_ =
-          model_.Consolidate(options_.btree_fanout, alpha, delta);
-      // The matched leaf runs scan once per batch
-      // (exec::BatchBTreeRangeSum); the tree descent stays per query.
-      pred_index_secs_ =
-          delta * model_.ConsolidateSecs(options_.btree_fanout);
-      pred_shared_secs_ = alpha * model_.ScanSecs();
-      pred_private_secs_ = std::max(
-          predicted_ - pred_index_secs_ - pred_shared_secs_, 0.0);
-      pred_shared_elem_secs_ = model_.constants().seq_read_secs;
-      break;
-    }
-    case Phase::kDone: {
-      const double alpha = SelectivityEstimate(q);
-      predicted_ = model_.BinarySearchSecs() + alpha * model_.ScanSecs();
-      pred_index_secs_ = 0;
-      pred_shared_secs_ = alpha * model_.ScanSecs();
-      pred_private_secs_ = std::max(predicted_ - pred_shared_secs_, 0.0);
-      pred_shared_elem_secs_ = model_.constants().seq_read_secs;
-      break;
-    }
+  QueryResult result;
+  scratch_ranges_.clear();
+  sorter_.CollectRanges(q, &scratch_ranges_);
+  for (const ScanRange& r : scratch_ranges_) {
+    result += r.sorted
+                  ? SortedRangeSum(index_.data() + r.start, r.end - r.start, q)
+                  : PredicatedRangeSum(index_.data() + r.start,
+                                       r.end - r.start, q);
   }
-  if (delta > 0) DoWorkSecs(delta * op_secs);
+  return result;
 }
 
-namespace {
-const char* QsPhaseName(ProgressiveQuicksort::Phase p) {
-  switch (p) {
-    case ProgressiveQuicksort::Phase::kCreation: return "creation";
-    case ProgressiveQuicksort::Phase::kRefinement: return "refinement";
-    case ProgressiveQuicksort::Phase::kConsolidation: return "consolidation";
-    case ProgressiveQuicksort::Phase::kDone: return "done";
-  }
-  return "unknown";
-}
-}  // namespace
-
-double ProgressiveQuicksort::ConvergenceFraction() const {
-  const double n = static_cast<double>(column_.size());
-  if (n == 0) return 1.0;
-  switch (phase_) {
-    case Phase::kCreation:
-      return 0.5 * static_cast<double>(copy_pos_) / n;
-    case Phase::kRefinement:
-      return 0.6;
-    case Phase::kConsolidation:
-      return 0.9;
-    case Phase::kDone:
-      return 1.0;
-  }
-  return 0.0;
+double ProgressiveQuicksort::BuildConvergenceFraction() const {
+  if (phase() == Phase::kRefinement) return 0.6;
+  return 0.5 * static_cast<double>(copy_pos_) /
+         static_cast<double>(column_.size());
 }
 
-QueryResult ProgressiveQuicksort::Query(const RangeQuery& q) {
-  if (column_.empty()) return {};
-  const Phase phase_at_start = phase_;
-  obs::QueryTimer qt;
-  {
-    obs::TraceScope span("refine", telemetry_.category());
-    PrepareQuery(q);
-  }
-  QueryResult r;
-  {
-    obs::TraceScope span("shared_scan", telemetry_.category());
-    r = Answer(q);
-  }
-  telemetry_.RecordResidual(QsPhaseName(phase_at_start), predicted_,
-                            static_cast<double>(qt.ElapsedNs()) * 1e-9);
-  return r;
-}
-
-void ProgressiveQuicksort::QueryBatch(const RangeQuery* qs, size_t count,
-                                      QueryResult* out) {
-  if (count == 0) return;
-  if (column_.empty()) {
-    std::fill(out, out + count, QueryResult{});
+void ProgressiveQuicksort::AnswerBuildBatch(const RangeQuery* qs,
+                                            size_t count,
+                                            QueryResult* out) const {
+  const size_t n = column_.size();
+  if (phase() == Phase::kCreation) {
+    // One shared pass each over the partitioned fringes and the
+    // not-yet-copied tail. The fringes are scanned for every query (the
+    // single-query path prunes them against the pivot, but a pruned
+    // fringe contributes zero matches, so totals are identical — and
+    // under a batch someone usually needs them).
+    pset_.Reset(qs, count);
+    if (low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
+    if (high_pos_ + 1 < static_cast<int64_t>(n)) {
+      const size_t start = static_cast<size_t>(high_pos_ + 1);
+      pset_.Scan(index_.data() + start, n - start);
+    }
+    pset_.Scan(column_.data() + copy_pos_, n - copy_pos_);
+    pset_.AccumulateInto(out);
     return;
   }
-  const Phase phase_at_start = phase_;
-  obs::QueryTimer qt;
-  // One per-batch indexing budget, hinted by the batch head — the
-  // exact Query() prologue, so a batch of one leaves bit-identical
-  // state.
-  {
-    obs::TraceScope span("refine", telemetry_.category());
-    PrepareQuery(qs[0]);
+  // Sorted pivot-tree ranges answer per query (binary search); unsorted
+  // ranges merge across queries into one shared scan. A range left
+  // uncollected for some query cannot contain values in that query's
+  // [low, high] (the pivot-tree pruning invariant), so scanning the
+  // union adds exactly zero to its totals.
+  scratch_pos_ranges_.clear();
+  for (size_t i = 0; i < count; i++) {
+    scratch_ranges_.clear();
+    sorter_.CollectRanges(qs[i], &scratch_ranges_);
+    for (const ScanRange& r : scratch_ranges_) {
+      if (r.sorted) {
+        out[i] += SortedRangeSum(index_.data() + r.start, r.end - r.start,
+                                 qs[i]);
+      } else {
+        scratch_pos_ranges_.push_back({r.start, r.end});
+      }
+    }
   }
-  {
-    obs::TraceScope span("shared_scan", telemetry_.category());
-    AnswerBatch(qs, count, out);
+  exec::MergePosRanges(&scratch_pos_ranges_);
+  pset_.Reset(qs, count);
+  for (const exec::PosRange& r : scratch_pos_ranges_) {
+    pset_.Scan(index_.data() + r.begin, r.end - r.begin);
   }
-  if (count > 1) {
-    predicted_ = model_.BatchPerQuerySecs(
-        pred_index_secs_, pred_shared_secs_, pred_private_secs_, count,
-        pred_shared_elem_secs_);
-  }
-  telemetry_.RecordResidual(
-      QsPhaseName(phase_at_start), predicted_,
-      static_cast<double>(qt.ElapsedNs()) * 1e-9 / static_cast<double>(count));
+  pset_.AccumulateInto(out);
 }
 
-void ProgressiveQuicksort::AnswerBatch(const RangeQuery* qs, size_t count,
-                                       QueryResult* out) const {
-  std::fill(out, out + count, QueryResult{});
-  const size_t n = column_.size();
-  switch (phase_) {
-    case Phase::kCreation: {
-      // One shared pass each over the partitioned fringes and the
-      // not-yet-copied tail. The fringes are scanned for every query
-      // (the single-query path prunes them against the pivot, but a
-      // pruned fringe contributes zero matches, so totals are
-      // identical — and under a batch someone usually needs them).
-      pset_.Reset(qs, count);
-      if (low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
-      if (high_pos_ + 1 < static_cast<int64_t>(n)) {
-        const size_t start = static_cast<size_t>(high_pos_ + 1);
-        pset_.Scan(index_.data() + start, n - start);
-      }
-      pset_.Scan(column_.data() + copy_pos_, n - copy_pos_);
-      pset_.AccumulateInto(out);
-      return;
-    }
-    case Phase::kRefinement: {
-      // Sorted pivot-tree ranges answer per query (binary search);
-      // unsorted ranges merge across queries into one shared scan. A
-      // range left uncollected for some query cannot contain values in
-      // that query's [low, high] (the pivot-tree pruning invariant), so
-      // scanning the union adds exactly zero to its totals.
-      scratch_pos_ranges_.clear();
-      for (size_t i = 0; i < count; i++) {
-        scratch_ranges_.clear();
-        sorter_.CollectRanges(qs[i], &scratch_ranges_);
-        for (const ScanRange& r : scratch_ranges_) {
-          if (r.sorted) {
-            const QueryResult part = SortedRangeSum(index_.data() + r.start,
-                                                    r.end - r.start, qs[i]);
-            out[i].sum += part.sum;
-            out[i].count += part.count;
-          } else {
-            scratch_pos_ranges_.push_back({r.start, r.end});
-          }
-        }
-      }
-      exec::MergePosRanges(&scratch_pos_ranges_);
-      pset_.Reset(qs, count);
-      for (const exec::PosRange& r : scratch_pos_ranges_) {
-        pset_.Scan(index_.data() + r.begin, r.end - r.begin);
-      }
-      pset_.AccumulateInto(out);
-      return;
-    }
-    case Phase::kConsolidation:
-    case Phase::kDone: {
-      // Matched B+-tree leaf runs merge across the batch and scan once
-      // (overlapping queries load each leaf a single time).
-      exec::BatchBTreeRangeSum(btree_, qs, count, out, &pset_,
-                               &scratch_pos_ranges_);
-      return;
-    }
-  }
-}
-
-
-void ProgressiveQuicksort::SaveState(persist::Writer* w) const {
-  w->WriteU64(static_cast<uint64_t>(phase_));
+void ProgressiveQuicksort::SaveBody(persist::Writer* w) const {
   w->WriteValueVector(index_);
   w->WriteI64(pivot_);
   w->WriteU64(copy_pos_);
   w->WriteU64(low_pos_);
   w->WriteI64(high_pos_);
   budget_.SaveState(w);
-  // Only the live machinery of the current phase: the sorter is dead
-  // weight after consolidation starts and the tree does not exist
-  // before it.
-  if (phase_ == Phase::kRefinement) sorter_.SaveState(w);
-  if (phase_ == Phase::kConsolidation || phase_ == Phase::kDone) {
-    btree_.SaveState(w);
-    builder_->SaveState(w);
-  }
+  // The sorter is live only while refining: it does not exist before,
+  // and is dead weight once consolidation starts.
+  if (phase() == Phase::kRefinement) sorter_.SaveState(w);
 }
 
-bool ProgressiveQuicksort::LoadState(persist::Reader* r) {
-  const uint64_t phase = r->ReadU64();
-  if (!r->ok() || phase > static_cast<uint64_t>(Phase::kDone)) return false;
+bool ProgressiveQuicksort::LoadBody(persist::Reader* r) {
   if (!r->ReadValueVector(&index_)) return false;
-  pivot_ = r->ReadI64();
+  const value_t pivot = r->ReadI64();
   copy_pos_ = r->ReadU64();
   low_pos_ = r->ReadU64();
   high_pos_ = r->ReadI64();
   if (!budget_.LoadState(r)) return false;
+  // The pivot is the constructor's, and every copied element sits in
+  // one of the two fringes: copy_pos_ == low_pos_ + (n − 1 − high_pos_).
+  // With copy_pos_ ≤ n that also keeps the fringes from overlapping.
   const size_t n = column_.size();
-  if (index_.size() != n || copy_pos_ > n || low_pos_ > n ||
-      high_pos_ >= static_cast<int64_t>(n)) {
+  if (pivot != pivot_ || index_.size() != n || copy_pos_ > n ||
+      low_pos_ > n || high_pos_ < -1 ||
+      high_pos_ >= static_cast<int64_t>(n) ||
+      copy_pos_ != low_pos_ + (n - static_cast<size_t>(high_pos_ + 1))) {
     return false;
   }
-  phase_ = static_cast<Phase>(phase);
-  if (phase_ == Phase::kRefinement) {
-    if (!sorter_.LoadState(r, index_.data())) return false;
-  }
-  if (phase_ == Phase::kConsolidation || phase_ == Phase::kDone) {
-    if (!btree_.LoadState(r, index_.data()) || btree_.leaf_count() != n) {
-      return false;
-    }
-    builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
-    if (!builder_->LoadState(r)) return false;
-  }
-  return r->ok();
+  return phase() != Phase::kRefinement ||
+         sorter_.LoadState(r, index_.data(), n);
 }
 
 ApproximateResult ProgressiveQuicksort::QueryApproximate(const RangeQuery& q,
@@ -507,15 +268,8 @@ ApproximateResult ProgressiveQuicksort::QueryApproximate(const RangeQuery& q,
   }
   // Perform this query's share of indexing work, exactly like Query():
   // the approximate path still builds the index as a by-product.
-  last_query_hint_ = q;
-  const double op_secs =
-      ClampOpSecs(OpSecsForPhase(phase_), column_.size());
-  const double answer_est = EstimateAnswerSecs(q);
-  if (phase_ != Phase::kDone) {
-    const double delta = budget_.DeltaForQuery(op_secs, answer_est);
-    if (delta > 0) DoWorkSecs(delta * op_secs);
-  }
-  if (phase_ != Phase::kCreation) {
+  PrepareQuery(q);
+  if (phase() != Phase::kCreation) {
     // Refinement onwards: every element is in the index, so the exact
     // answer is already cheap.
     const QueryResult exact = Answer(q);
@@ -525,25 +279,12 @@ ApproximateResult ProgressiveQuicksort::QueryApproximate(const RangeQuery& q,
     return result;
   }
   // Creation phase: exact over the indexed fringes...
-  const size_t n = column_.size();
-  QueryResult indexed;
-  if (q.low < pivot_ && low_pos_ > 0) {
-    const QueryResult part = PredicatedRangeSum(index_.data(), low_pos_, q);
-    indexed.sum += part.sum;
-    indexed.count += part.count;
-  }
-  if (q.high >= pivot_ && high_pos_ + 1 < static_cast<int64_t>(n)) {
-    const size_t start = static_cast<size_t>(high_pos_ + 1);
-    const QueryResult part =
-        PredicatedRangeSum(index_.data() + start, n - start, q);
-    indexed.sum += part.sum;
-    indexed.count += part.count;
-  }
+  const QueryResult indexed = FringeSum(q);
   result.sum = static_cast<double>(indexed.sum);
   result.count = static_cast<double>(indexed.count);
   // ...plus a Horvitz-Thompson estimate of the unindexed remainder from
   // a uniform with-replacement sample.
-  const size_t remainder = n - copy_pos_;
+  const size_t remainder = column_.size() - copy_pos_;
   if (remainder == 0) {
     result.exact = true;
     return result;

@@ -1,18 +1,11 @@
 #ifndef PROGIDX_CORE_PROGRESSIVE_QUICKSORT_H_
 #define PROGIDX_CORE_PROGRESSIVE_QUICKSORT_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "core/budget.h"
 #include "core/incremental_quicksort.h"
-#include "core/index_base.h"
-#include "cost/calibration.h"
-#include "cost/cost_model.h"
-#include "exec/shared_scan.h"
-#include "obs/telemetry.h"
+#include "core/progressive_index.h"
 
 namespace progidx {
 
@@ -30,22 +23,6 @@ struct ApproximateResult {
   bool exact = false;
 };
 
-/// Shared configuration of the four progressive indexes.
-struct ProgressiveOptions {
-  /// B+-tree fanout β used by the consolidation phase.
-  size_t btree_fanout = 64;
-  /// Radix/bucket fan-out b (§3.2 uses 64 = min(cache lines, TLB)).
-  size_t bucket_count = 64;
-  /// Linked-block capacity sb of bucket chains.
-  size_t block_capacity = 4096;
-  /// Machine constants; defaults to the process-wide calibration.
-  const MachineConstants* machine = nullptr;
-
-  const MachineConstants& Machine() const {
-    return machine != nullptr ? *machine : GlobalMachineConstants();
-  }
-};
-
 /// Progressive Quicksort (§3.1).
 ///
 /// Creation: copies δ·N elements per query from the base column into an
@@ -53,39 +30,14 @@ struct ProgressiveOptions {
 /// pivot (two-sided predicated writes). Refinement: budgeted in-place
 /// quicksort via IncrementalQuicksort. Consolidation: progressive
 /// B+-tree build over the sorted result.
-class ProgressiveQuicksort : public IndexBase {
+class ProgressiveQuicksort : public ProgressiveIndex {
  public:
   enum class Phase { kCreation, kRefinement, kConsolidation, kDone };
 
   ProgressiveQuicksort(const Column& column, const BudgetSpec& budget,
                        const ProgressiveOptions& options = {});
 
-  QueryResult Query(const RangeQuery& q) override;
-  void QueryBatch(const RangeQuery* qs, size_t count,
-                  QueryResult* out) override;
-  bool converged() const override { return phase_ == Phase::kDone; }
-  double ConvergenceFraction() const override;
   std::string name() const override { return "P. Quicksort"; }
-  double last_predicted_cost() const override { return predicted_; }
-
-  /// Checkpointing seam (docs/recovery.md): phase, the partition
-  /// fringes, the pivot-tree sort, and B+-tree build progress.
-  bool SupportsPersistence() const override { return true; }
-  const MachineConstants* machine_constants() const override {
-    return &model_.constants();
-  }
-  void SaveState(persist::Writer* w) const override;
-  bool LoadState(persist::Reader* r) override;
-
-  /// Read-epoch path (docs/serving.md): once converged the answer is a
-  /// pure B+-tree lookup over the final sorted array — no work charged,
-  /// no state (not even mutable scratch) touched, so any number of
-  /// reader threads may call this concurrently.
-  bool TryReadOnlyQuery(const RangeQuery& q, QueryResult* out) const override {
-    if (phase_ != Phase::kDone) return false;
-    *out = btree_.RangeSum(q);
-    return true;
-  }
 
   /// §6 extension: answers approximately within the interactivity
   /// budget. Performs the same per-query indexing work as Query(), then
@@ -97,36 +49,28 @@ class ProgressiveQuicksort : public IndexBase {
   ApproximateResult QueryApproximate(const RangeQuery& q, size_t samples,
                                      uint64_t seed = 7);
 
-  Phase phase() const { return phase_; }
+  Phase phase() const { return static_cast<Phase>(phase_index()); }
   /// The index array (exposed for invariant tests).
   const std::vector<value_t>& index_array() const { return index_; }
-  const CostModel& cost_model() const { return model_; }
 
  private:
-  double OpSecsForPhase(Phase phase) const;
-  /// Estimated cost of answering `q` with the current structure.
-  double EstimateAnswerSecs(const RangeQuery& q) const;
-  /// Fraction of the domain a query selects (cheap selectivity proxy).
-  double SelectivityEstimate(const RangeQuery& q) const;
-  /// Performs `secs` worth of indexing work, cascading across phase
-  /// transitions.
-  void DoWorkSecs(double secs);
-  /// The whole Query() prologue for budget query `q`: budget→δ, cost
-  /// prediction, and δ·op_secs of indexing work. Shared verbatim by
-  /// Query and QueryBatch, so a batch's state trajectory is the single
-  /// query's by construction.
-  void PrepareQuery(const RangeQuery& q);
-  QueryResult Answer(const RangeQuery& q) const;
-  /// Batch answer against the current state: per-query sorted/indexed
-  /// lookups plus one exec::PredicateSet pass over unrefined regions.
-  void AnswerBatch(const RangeQuery* qs, size_t count, QueryResult* out) const;
+  double BuildOpSecs() const override;
+  double EstimateBuildAnswerSecs(const RangeQuery& q) const override;
+  Prediction PredictBuild(const RangeQuery& q, double answer_est,
+                          double delta) const override;
+  size_t BuildWork(size_t units) override;
+  QueryResult AnswerBuild(const RangeQuery& q) const override;
+  void AnswerBuildBatch(const RangeQuery* qs, size_t count,
+                        QueryResult* out) const override;
+  double BuildConvergenceFraction() const override;
+  /// Snapshot body: the index array, the partition fringes, the budget,
+  /// and the pivot-tree sort while refining.
+  void SaveBody(persist::Writer* w) const override;
+  bool LoadBody(persist::Reader* r) override;
+  const value_t* SortedArray() const override { return index_.data(); }
+  /// Creation phase: `q` over the two partitioned fringes of index_.
+  QueryResult FringeSum(const RangeQuery& q) const;
 
-  const Column& column_;
-  ProgressiveOptions options_;
-  CostModel model_;
-  BudgetController budget_;
-
-  Phase phase_ = Phase::kCreation;
   std::vector<value_t> index_;
   value_t pivot_ = 0;
   size_t copy_pos_ = 0;   ///< elements of the base column copied so far
@@ -134,30 +78,12 @@ class ProgressiveQuicksort : public IndexBase {
   int64_t high_pos_ = -1; ///< next write slot at the top of index_
 
   IncrementalQuicksort sorter_;
-  BPlusTree btree_;
-  std::unique_ptr<ProgressiveBTreeBuilder> builder_;
 
-  double predicted_ = 0;
-  /// Decomposition of predicted_ for batch pricing (set by
-  /// PrepareQuery): indexing charged once per batch / unrefined-scan
-  /// shared across the batch / per-query lookups. The elem term is the
-  /// per-element price the shared term was built from (seq_read for
-  /// flat regions; the chain rate for bucket indexes).
-  double pred_index_secs_ = 0;
-  double pred_shared_secs_ = 0;
-  double pred_private_secs_ = 0;
-  double pred_shared_elem_secs_ = 0;
   /// Unsorted pivot-tree elements of the last refinement-phase
-  /// EstimateAnswerSecs — the share a batch scans once (stashed so
-  /// PrepareQuery's decomposition matches what AnswerBatch shares).
+  /// EstimateBuildAnswerSecs — the share a batch scans once (stashed so
+  /// PredictBuild's decomposition matches what AnswerBuildBatch shares).
   mutable double est_unsorted_elems_ = 0;
-  RangeQuery last_query_hint_;
-  /// Residual + span telemetry (docs/observability.md); written only
-  /// by the Query/QueryBatch thread, never consulted for decisions.
-  obs::IndexTelemetry telemetry_{"pq"};
   mutable std::vector<ScanRange> scratch_ranges_;
-  mutable exec::PredicateSet pset_;
-  mutable std::vector<exec::PosRange> scratch_pos_ranges_;
 };
 
 }  // namespace progidx

@@ -1,17 +1,10 @@
 #ifndef PROGIDX_CORE_PROGRESSIVE_RADIXSORT_LSD_H_
 #define PROGIDX_CORE_PROGRESSIVE_RADIXSORT_LSD_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "core/budget.h"
-#include "core/index_base.h"
-#include "core/progressive_quicksort.h"
-#include "cost/cost_model.h"
-#include "exec/shared_scan.h"
-#include "obs/telemetry.h"
+#include "core/progressive_index.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -26,80 +19,55 @@ namespace progidx {
 /// (one candidate bucket) but not wide range queries, for which the
 /// algorithm falls back to scanning the original column (the paper's
 /// "α == ρ" fallback).
-class ProgressiveRadixsortLSD : public IndexBase {
+class ProgressiveRadixsortLSD : public ProgressiveIndex {
  public:
   enum class Phase { kCreation, kRefinement, kMerge, kConsolidation, kDone };
 
   ProgressiveRadixsortLSD(const Column& column, const BudgetSpec& budget,
                           const ProgressiveOptions& options = {});
 
-  QueryResult Query(const RangeQuery& q) override;
-  void QueryBatch(const RangeQuery* qs, size_t count,
-                  QueryResult* out) override;
-  bool converged() const override { return phase_ == Phase::kDone; }
-  double ConvergenceFraction() const override;
   std::string name() const override { return "P. Radixsort (LSD)"; }
-  double last_predicted_cost() const override { return predicted_; }
 
-  /// Checkpointing seam (docs/recovery.md): phase, both generations of
-  /// bucket chains, the pass/drain cursors, merge progress, and B+-tree
-  /// build progress.
-  bool SupportsPersistence() const override { return true; }
-  const MachineConstants* machine_constants() const override {
-    return &model_.constants();
-  }
-  void SaveState(persist::Writer* w) const override;
-  bool LoadState(persist::Reader* r) override;
-
-  /// Read-epoch path (docs/serving.md): converged answers are pure
-  /// B+-tree lookups, race-free for concurrent readers.
-  bool TryReadOnlyQuery(const RangeQuery& q, QueryResult* out) const override {
-    if (phase_ != Phase::kDone) return false;
-    *out = btree_.RangeSum(q);
-    return true;
-  }
-
-  Phase phase() const { return phase_; }
+  Phase phase() const { return static_cast<Phase>(phase_index()); }
   const std::vector<value_t>& final_array() const { return final_; }
   size_t total_passes() const { return total_passes_; }
-  const CostModel& cost_model() const { return model_; }
 
  private:
-  /// Digit of v for pass `pass` (6 bits per pass, LSD first).
-  size_t DigitOf(value_t v, size_t pass) const {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(v - min_) >> (6 * pass)) & 63u);
-  }
-  /// Candidate digit range for query q at `pass`; returns false when
-  /// every bucket is a candidate. Candidates form a wrap-around
-  /// contiguous run [*first, *last] mod 64.
-  bool CandidateDigits(const RangeQuery& q, size_t pass, size_t* first,
-                       size_t* last) const;
-  double OpSecsForPhase(Phase phase) const;
-  double EstimateAnswerSecs(const RangeQuery& q) const;
-  double SelectivityEstimate(const RangeQuery& q) const;
-  void DoWorkSecs(double secs);
-  /// The whole Query() prologue (budget→δ, prediction, indexing work),
-  /// shared verbatim by Query and QueryBatch.
-  void PrepareQuery(const RangeQuery& q);
-  QueryResult Answer(const RangeQuery& q) const;
-  /// Batch answer: per-query pruned chain lookups plus one shared
-  /// PredicateSet pass over the unbucketed base-column remainder.
-  void AnswerBatch(const RangeQuery* qs, size_t count, QueryResult* out) const;
-  void EnterConsolidation();
+  /// Buckets that can hold values of `q` after pass `pass`, as a mask
+  /// (bit b = bucket b): a pass-p bucket holds one digit-p value, so the
+  /// candidates are the wrap-around run of q's digits mod 64. All ones
+  /// when every bucket is a candidate.
+  uint64_t CandidateMask(const RangeQuery& q, size_t pass) const;
+  double BuildOpSecs() const override;
+  double EstimateBuildAnswerSecs(const RangeQuery& q) const override;
+  Prediction PredictBuild(const RangeQuery& q, double answer_est,
+                          double delta) const override;
+  size_t BuildWork(size_t units) override;
+  /// Moves at most `budget` elements out of source_ from the drain
+  /// cursor — scattered into dest_ by the pass's digit while refining,
+  /// copied to final_ while merging — freeing each drained bucket.
+  /// Returns the elements moved.
+  size_t Drain(size_t budget);
+  QueryResult AnswerBuild(const RangeQuery& q) const override;
+  /// Creation: per-query pruned chain lookups plus shared passes over
+  /// the base column; refinement and merge: one shared pass over the
+  /// union of every query's candidate chains.
+  void AnswerBuildBatch(const RangeQuery* qs, size_t count,
+                        QueryResult* out) const override;
+  double BuildConvergenceFraction() const override;
+  /// Snapshot body: domain, pass geometry and cursors, the budget, both
+  /// chain generations (until the merge ends) and final_ (from the
+  /// merge on).
+  void SaveBody(persist::Writer* w) const override;
+  bool LoadBody(persist::Reader* r) override;
+  const value_t* SortedArray() const override { return final_.data(); }
   /// RangeSum over the elements still in `source_[bucket]` at or after
   /// the drain cursor.
   QueryResult RangeSumRemainingSource(size_t bucket,
                                       const RangeQuery& q) const;
+  /// Appends source_[bucket]'s undrained block runs onto scratch_runs_.
+  void CollectRemainingSource(size_t bucket) const;
 
-  const Column& column_;
-  ProgressiveOptions options_;
-  CostModel model_;
-  BudgetController budget_;
-
-  Phase phase_ = Phase::kCreation;
-  value_t min_ = 0;
-  value_t max_ = 0;
   size_t total_passes_ = 1;
 
   std::vector<BucketChain> source_;  ///< pass input (64 chains)
@@ -112,31 +80,15 @@ class ProgressiveRadixsortLSD : public IndexBase {
   std::vector<value_t> final_;
   size_t merged_ = 0;
 
-  BPlusTree btree_;
-  std::unique_ptr<ProgressiveBTreeBuilder> builder_;
-
-  double predicted_ = 0;
-  /// predicted_ decomposed for batch pricing (see docs/batching.md);
-  /// the elem term prices the shared scan's per-element cost (chain
-  /// rate during refinement/merge, seq_read elsewhere).
-  double pred_index_secs_ = 0;
-  double pred_shared_secs_ = 0;
-  double pred_private_secs_ = 0;
-  double pred_shared_elem_secs_ = 0;
   /// Chain-resident elements of the last refinement/merge-phase
-  /// EstimateAnswerSecs — the share a batch scans once.
+  /// EstimateBuildAnswerSecs — the share a batch scans once.
   mutable double est_chain_elems_ = 0;
-  /// Residual + span telemetry (docs/observability.md); written only
-  /// by the Query/QueryBatch thread, never consulted for decisions.
-  obs::IndexTelemetry telemetry_{"plsd"};
-  mutable exec::PredicateSet pset_;
-  /// AnswerBatch scratch for the α == ρ fallback subset, reused across
-  /// batches so the hot path stays allocation-free.
+  /// AnswerBuildBatch scratch for the α == ρ fallback subset, reused
+  /// across batches so the hot path stays allocation-free.
   mutable std::vector<RangeQuery> scratch_fallback_qs_;
   mutable std::vector<size_t> scratch_fallback_idx_;
   mutable std::vector<QueryResult> scratch_partial_;
-  mutable std::vector<exec::SrcBlock> scratch_runs_;
-  mutable std::vector<exec::PosRange> scratch_pos_ranges_;
+  mutable std::vector<parallel::SrcRun> scratch_runs_;
 };
 
 }  // namespace progidx

@@ -2,17 +2,10 @@
 #define PROGIDX_CORE_PROGRESSIVE_RADIXSORT_MSD_H_
 
 #include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "btree/btree.h"
-#include "core/budget.h"
-#include "core/index_base.h"
-#include "core/progressive_quicksort.h"
-#include "cost/cost_model.h"
-#include "exec/shared_scan.h"
-#include "obs/telemetry.h"
+#include "core/progressive_index.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -25,42 +18,17 @@ namespace progidx {
 /// when it fits in L1 (or has no bits left), sorted and merged into the
 /// final array — so the final sorted array fills strictly left to
 /// right. Consolidation: progressive B+-tree, as for all algorithms.
-class ProgressiveRadixsortMSD : public IndexBase {
+class ProgressiveRadixsortMSD : public ProgressiveIndex {
  public:
   enum class Phase { kCreation, kRefinement, kConsolidation, kDone };
 
   ProgressiveRadixsortMSD(const Column& column, const BudgetSpec& budget,
                           const ProgressiveOptions& options = {});
 
-  QueryResult Query(const RangeQuery& q) override;
-  void QueryBatch(const RangeQuery* qs, size_t count,
-                  QueryResult* out) override;
-  bool converged() const override { return phase_ == Phase::kDone; }
-  double ConvergenceFraction() const override;
   std::string name() const override { return "P. Radixsort (MSD)"; }
-  double last_predicted_cost() const override { return predicted_; }
 
-  /// Checkpointing seam (docs/recovery.md): phase, root buckets, the
-  /// pending-bucket worklist (including an in-progress split's cursor
-  /// and children), merge progress, and B+-tree build progress.
-  bool SupportsPersistence() const override { return true; }
-  const MachineConstants* machine_constants() const override {
-    return &model_.constants();
-  }
-  void SaveState(persist::Writer* w) const override;
-  bool LoadState(persist::Reader* r) override;
-
-  /// Read-epoch path (docs/serving.md): converged answers are pure
-  /// B+-tree lookups, race-free for concurrent readers.
-  bool TryReadOnlyQuery(const RangeQuery& q, QueryResult* out) const override {
-    if (phase_ != Phase::kDone) return false;
-    *out = btree_.RangeSum(q);
-    return true;
-  }
-
-  Phase phase() const { return phase_; }
+  Phase phase() const { return static_cast<Phase>(phase_index()); }
   const std::vector<value_t>& final_array() const { return final_; }
-  const CostModel& cost_model() const { return model_; }
 
  private:
   /// A bucket awaiting refinement. Pending buckets are kept in value
@@ -81,32 +49,32 @@ class ProgressiveRadixsortMSD : public IndexBase {
   };
 
   size_t RootBucketOf(value_t v) const {
-    return static_cast<size_t>((v - min_) >> root_shift_);
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(v) - static_cast<uint64_t>(min_)) >>
+        root_shift_);
   }
-  double OpSecsForPhase(Phase phase) const;
-  double EstimateAnswerSecs(const RangeQuery& q) const;
-  double SelectivityEstimate(const RangeQuery& q) const;
-  void DoWorkSecs(double secs);
+  double BuildOpSecs() const override;
+  double EstimateBuildAnswerSecs(const RangeQuery& q) const override;
+  Prediction PredictBuild(const RangeQuery& q, double answer_est,
+                          double delta) const override;
+  size_t BuildWork(size_t units) override;
   /// One unit of refinement work on the front pending bucket; returns
   /// elements processed.
   size_t RefineFront(size_t budget);
-  /// The whole Query() prologue (budget→δ, prediction, indexing work),
-  /// shared verbatim by Query and QueryBatch.
-  void PrepareQuery(const RangeQuery& q);
-  QueryResult Answer(const RangeQuery& q) const;
-  /// Batch answer: per-query pruned root-bucket/pending lookups plus
-  /// one shared PredicateSet pass over the unbucketed remainder.
-  void AnswerBatch(const RangeQuery* qs, size_t count, QueryResult* out) const;
-  void EnterConsolidation();
+  QueryResult AnswerBuild(const RangeQuery& q) const override;
+  /// Creation: per-query pruned root-bucket lookups plus one shared pass
+  /// over the unbucketed remainder; refinement: one shared pass over
+  /// every pending chain any query reaches.
+  void AnswerBuildBatch(const RangeQuery* qs, size_t count,
+                        QueryResult* out) const override;
+  double BuildConvergenceFraction() const override;
+  /// Snapshot body: domain, root geometry, cursors, the budget, then the
+  /// root buckets (creation), the pending-bucket worklist including an
+  /// in-progress split's cursor and children (refinement), or final_.
+  void SaveBody(persist::Writer* w) const override;
+  bool LoadBody(persist::Reader* r) override;
+  const value_t* SortedArray() const override { return final_.data(); }
 
-  const Column& column_;
-  ProgressiveOptions options_;
-  CostModel model_;
-  BudgetController budget_;
-
-  Phase phase_ = Phase::kCreation;
-  value_t min_ = 0;
-  value_t max_ = 0;
   int root_shift_ = 0;
   /// (1 << radix_bits) - 1: identity on every root digit the shift can
   /// produce; its width tells the batched scatter the chain count so
@@ -119,26 +87,10 @@ class ProgressiveRadixsortMSD : public IndexBase {
   std::vector<value_t> final_;
   size_t merged_ = 0;
 
-  BPlusTree btree_;
-  std::unique_ptr<ProgressiveBTreeBuilder> builder_;
-
-  double predicted_ = 0;
-  /// predicted_ decomposed for batch pricing (see docs/batching.md);
-  /// the elem term prices the shared scan's per-element cost (chain
-  /// rate during refinement, seq_read elsewhere).
-  double pred_index_secs_ = 0;
-  double pred_shared_secs_ = 0;
-  double pred_private_secs_ = 0;
-  double pred_shared_elem_secs_ = 0;
   /// Chain-resident elements of the last refinement-phase
-  /// EstimateAnswerSecs — the share a batch scans once.
+  /// EstimateBuildAnswerSecs — the share a batch scans once.
   mutable double est_chain_elems_ = 0;
-  /// Residual + span telemetry (docs/observability.md); written only
-  /// by the Query/QueryBatch thread, never consulted for decisions.
-  obs::IndexTelemetry telemetry_{"pmsd"};
-  mutable exec::PredicateSet pset_;
-  mutable std::vector<exec::SrcBlock> scratch_runs_;
-  mutable std::vector<exec::PosRange> scratch_pos_ranges_;
+  mutable std::vector<parallel::SrcRun> scratch_runs_;
 };
 
 }  // namespace progidx

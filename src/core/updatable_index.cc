@@ -120,19 +120,17 @@ void UpdatableIndex::FinishMerge() {
 
 void UpdatableIndex::AdjustForDelta(const RangeQuery& q,
                                     QueryResult* r) const {
-  auto add = [&](const std::vector<value_t>& vals, int64_t sign) {
-    if (vals.empty()) return;
-    const QueryResult d = PredicatedRangeSum(vals.data(), vals.size(), q);
-    r->sum += sign * d.sum;
-    r->count += sign * d.count;
+  auto sum = [&](const std::vector<value_t>& vals) {
+    return vals.empty() ? QueryResult{}
+                        : PredicatedRangeSum(vals.data(), vals.size(), q);
   };
-  add(frozen_pending_, 1);
-  add(pending_, 1);
+  *r += sum(frozen_pending_);
+  *r += sum(pending_);
   // Tombstones subtract in full while the merge runs: the shadow copy
   // is invisible, so the inner index still answers over the old base
   // that contains every tombstoned occurrence.
-  add(frozen_deleted_, -1);
-  add(deleted_, -1);
+  *r -= sum(frozen_deleted_);
+  *r -= sum(deleted_);
 }
 
 QueryResult UpdatableIndex::Query(const RangeQuery& q) {
@@ -153,7 +151,7 @@ void UpdatableIndex::QueryBatch(const RangeQuery* qs, size_t count,
   }
   const size_t merge_elems = AdvanceMaintenance();
   inner_->QueryBatch(qs, count, out);
-  exec::SrcBlock runs[2];
+  parallel::SrcRun runs[2];
   size_t n_runs = 0;
   if (!frozen_pending_.empty()) {
     runs[n_runs++] = {frozen_pending_.data(), frozen_pending_.size()};
@@ -174,10 +172,7 @@ void UpdatableIndex::QueryBatch(const RangeQuery* qs, size_t count,
     pset_.ScanRuns(runs, n_runs);
     scratch_.assign(count, QueryResult{});
     pset_.AccumulateInto(scratch_.data());
-    for (size_t i = 0; i < count; i++) {
-      out[i].sum -= scratch_[i].sum;
-      out[i].count -= scratch_[i].count;
-    }
+    for (size_t i = 0; i < count; i++) out[i] -= scratch_[i];
   }
   PredictCost(count, merge_elems);
 }

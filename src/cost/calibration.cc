@@ -253,11 +253,7 @@ double MeasureBucketScan(const std::vector<BucketChain>& chains, size_t n) {
                      static_cast<value_t>(3 * n / 4)};
   Timer timer;
   QueryResult total;
-  for (const BucketChain& chain : chains) {
-    const QueryResult part = chain.RangeSum(q);
-    total.sum += part.sum;
-    total.count += part.count;
-  }
+  for (const BucketChain& chain : chains) total += chain.RangeSum(q);
   const double secs = timer.ElapsedSeconds();
   calibration_sink = total.sum + total.count;
   return secs / static_cast<double>(n);

@@ -44,14 +44,18 @@ constexpr size_t kSharedScanGrain = size_t{1} << 16;
 
 }  // namespace
 
-void CollectChainRuns(const BucketChain& chain, BucketChain::Cursor cursor,
-                      std::vector<SrcBlock>* out) {
-  while (!chain.AtEnd(cursor)) {
+size_t CollectChainRuns(const BucketChain& chain, BucketChain::Cursor* cursor,
+                        size_t budget, std::vector<parallel::SrcRun>* out) {
+  size_t collected = 0;
+  while (collected < budget && !chain.AtEnd(*cursor)) {
     const value_t* run = nullptr;
-    const size_t len = chain.ContiguousRun(cursor, &run);
+    const size_t len =
+        std::min(chain.ContiguousRun(*cursor, &run), budget - collected);
     out->push_back({run, len});
-    chain.Advance(&cursor, len);
+    chain.Advance(cursor, len);
+    collected += len;
   }
+  return collected;
 }
 
 void MergePosRanges(std::vector<PosRange>* ranges) {
@@ -121,7 +125,7 @@ void PredicateSet::Reset(const RangeQuery* qs, size_t count) {
 }
 
 void PredicateSet::ScanSerialInto(const value_t* data, size_t begin,
-                                  size_t end, int64_t* sums,
+                                  size_t end, uint64_t* sums,
                                   int64_t* counts) const {
   const uint64_t* bounds = bounds_.data();
   const size_t nb = bounds_.size();
@@ -134,13 +138,13 @@ void PredicateSet::ScanSerialInto(const value_t* data, size_t begin,
     if (u < lo) continue;
     if (u >= hi && !open_top) continue;
     const size_t idx = CountLessEq(bounds, nb, u) - 1;
-    sums[idx] += v;
+    sums[idx] += static_cast<uint64_t>(v);
     counts[idx] += 1;
   }
 }
 
 void PredicateSet::ScanTiledInto(const value_t* data, size_t begin,
-                                 size_t end, int64_t* sums,
+                                 size_t end, uint64_t* sums,
                                  int64_t* counts) const {
   const kernels::KernelOps& ops = kernels::Dispatch();
   const size_t nq = query_count_;
@@ -149,7 +153,7 @@ void PredicateSet::ScanTiledInto(const value_t* data, size_t begin,
     for (size_t qi = 0; qi < nq; qi++) {
       const QueryResult part =
           ops.range_sum_predicated(data + t, len, queries_[qi]);
-      sums[qi] += part.sum;
+      sums[qi] += static_cast<uint64_t>(part.sum);
       counts[qi] += part.count;
     }
   }
@@ -176,7 +180,7 @@ void PredicateSet::ScanDispatch(const value_t* data, size_t n) {
   parallel::ParallelFor(0, n, kSharedScanGrain, lanes,
                         [&](size_t b, size_t e) {
                           const size_t c = b / kSharedScanGrain;
-                          int64_t* sums = scratch_sums_.data() + c * stride;
+                          uint64_t* sums = scratch_sums_.data() + c * stride;
                           int64_t* counts =
                               scratch_counts_.data() + c * stride;
                           if constexpr (kTiled) {
@@ -186,7 +190,7 @@ void PredicateSet::ScanDispatch(const value_t* data, size_t n) {
                           }
                         });
   for (size_t c = 0; c < chunks; c++) {
-    const int64_t* ps = scratch_sums_.data() + c * stride;
+    const uint64_t* ps = scratch_sums_.data() + c * stride;
     const int64_t* pc = scratch_counts_.data() + c * stride;
     for (size_t k = 0; k < stride; k++) {
       sums_[k] += ps[k];
@@ -203,7 +207,7 @@ void PredicateSet::Scan(const value_t* data, size_t n) {
     // kernel is both fastest and bit-identical to the per-index
     // single-query scan paths.
     const QueryResult r = PredicatedRangeSum(data, n, single_);
-    sums_[0] += r.sum;
+    sums_[0] += static_cast<uint64_t>(r.sum);
     counts_[0] += r.count;
     return;
   }
@@ -214,7 +218,7 @@ void PredicateSet::Scan(const value_t* data, size_t n) {
   }
 }
 
-void PredicateSet::ScanRuns(const SrcBlock* runs, size_t count) {
+void PredicateSet::ScanRuns(const parallel::SrcRun* runs, size_t count) {
   if (query_count_ == 0) return;
   size_t total = 0;
   for (size_t i = 0; i < count; i++) total += runs[i].len;
@@ -224,17 +228,13 @@ void PredicateSet::ScanRuns(const SrcBlock* runs, size_t count) {
     // Single predicate: the dispatched kernel per run, exactly like the
     // per-query block-wise chain scans (integer sums make the run split
     // irrelevant to the totals).
-    int64_t sum = 0;
-    int64_t cnt = 0;
+    QueryResult part;
     for (size_t i = 0; i < count; i++) {
       if (runs[i].len == 0) continue;
-      const QueryResult part =
-          PredicatedRangeSum(runs[i].data, runs[i].len, single_);
-      sum += part.sum;
-      cnt += part.count;
+      part += PredicatedRangeSum(runs[i].data, runs[i].len, single_);
     }
-    sums_[0] += sum;
-    counts_[0] += cnt;
+    sums_[0] += static_cast<uint64_t>(part.sum);
+    counts_[0] += part.count;
     return;
   }
   const size_t stride = tiled_ ? query_count_ : bounds_.size();
@@ -273,7 +273,7 @@ void PredicateSet::ScanRuns(const SrcBlock* runs, size_t count) {
           const size_t run_begin = scratch_span_starts_[s];
           const size_t run_end =
               s + 1 < spans ? scratch_span_starts_[s + 1] : count;
-          int64_t* sums = scratch_sums_.data() + s * stride;
+          uint64_t* sums = scratch_sums_.data() + s * stride;
           int64_t* counts = scratch_counts_.data() + s * stride;
           for (size_t i = run_begin; i < run_end; i++) {
             if (runs[i].len == 0) continue;
@@ -286,7 +286,7 @@ void PredicateSet::ScanRuns(const SrcBlock* runs, size_t count) {
         }
       });
   for (size_t s = 0; s < spans; s++) {
-    const int64_t* ps = scratch_sums_.data() + s * stride;
+    const uint64_t* ps = scratch_sums_.data() + s * stride;
     const int64_t* pc = scratch_counts_.data() + s * stride;
     for (size_t k = 0; k < stride; k++) {
       sums_[k] += ps[k];
@@ -298,21 +298,19 @@ void PredicateSet::ScanRuns(const SrcBlock* runs, size_t count) {
 void PredicateSet::AccumulateInto(QueryResult* out) const {
   if (tiled_) {
     for (size_t i = 0; i < query_count_; i++) {
-      out[i].sum += sums_[i];
-      out[i].count += counts_[i];
+      out[i] += {static_cast<int64_t>(sums_[i]), counts_[i]};
     }
     return;
   }
   for (size_t i = 0; i < query_count_; i++) {
     const auto [first, end] = spans_[i];
-    int64_t sum = 0;
+    uint64_t sum = 0;
     int64_t count = 0;
     for (uint32_t k = first; k < end; k++) {
       sum += sums_[k];
       count += counts_[k];
     }
-    out[i].sum += sum;
-    out[i].count += count;
+    out[i] += {static_cast<int64_t>(sum), count};
   }
 }
 

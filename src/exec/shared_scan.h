@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "parallel/primitives.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -24,22 +25,20 @@ struct PosRange {
 /// the input list exactly once.
 void MergePosRanges(std::vector<PosRange>* ranges);
 
-/// A discontiguous block of batch-scannable data: `len` contiguous
-/// elements at `data`. The refinement-phase currency of the batch
-/// executor — bucket-chain block runs, cracked pieces, B+-tree leaf
-/// runs — fed to PredicateSet::ScanRuns as one logical sequence.
-struct SrcBlock {
-  const value_t* data = nullptr;
-  size_t len = 0;
-};
-
-/// Appends `chain`'s contiguous block runs, from `cursor` to the end of
-/// the chain, onto `out` (append order, like the per-query chain
-/// scans). The default cursor covers the whole chain.
-void CollectChainRuns(const BucketChain& chain, BucketChain::Cursor cursor,
-                      std::vector<SrcBlock>* out);
+/// Appends `chain`'s contiguous block runs from `*cursor` onward onto
+/// `out` (append order, like the per-query chain scans) — at most
+/// `budget` elements, the last run clipped to fit — and advances
+/// `*cursor` past them. Returns the elements appended.
+size_t CollectChainRuns(const BucketChain& chain, BucketChain::Cursor* cursor,
+                        size_t budget, std::vector<parallel::SrcRun>* out);
+/// All of `chain` from `cursor` (default: the whole chain).
 inline void CollectChainRuns(const BucketChain& chain,
-                             std::vector<SrcBlock>* out) {
+                             BucketChain::Cursor cursor,
+                             std::vector<parallel::SrcRun>* out) {
+  CollectChainRuns(chain, &cursor, SIZE_MAX, out);
+}
+inline void CollectChainRuns(const BucketChain& chain,
+                             std::vector<parallel::SrcRun>* out) {
   CollectChainRuns(chain, BucketChain::Cursor{}, out);
 }
 
@@ -95,7 +94,7 @@ class PredicateSet {
   /// lists split across the thread pool by whole runs, grouped into
   /// fixed-geometry spans whose integer partials merge exactly, so the
   /// totals are bit-identical to the serial walk at any lane count.
-  void ScanRuns(const SrcBlock* runs, size_t count);
+  void ScanRuns(const parallel::SrcRun* runs, size_t count);
 
   /// Adds each query's share of everything scanned since Reset into
   /// out[0, query_count()). Does not clear the accumulators.
@@ -117,9 +116,9 @@ class PredicateSet {
 
  private:
   void ScanSerialInto(const value_t* data, size_t begin, size_t end,
-                      int64_t* sums, int64_t* counts) const;
+                      uint64_t* sums, int64_t* counts) const;
   void ScanTiledInto(const value_t* data, size_t begin, size_t end,
-                     int64_t* sums, int64_t* counts) const;
+                     uint64_t* sums, int64_t* counts) const;
   /// Shared chunk-parallel driver over either per-element routine.
   template <bool kTiled>
   void ScanDispatch(const value_t* data, size_t n);
@@ -141,12 +140,13 @@ class PredicateSet {
   /// Per-query [first, end) span of elementary-interval indexes.
   std::vector<std::pair<uint32_t, uint32_t>> spans_;
   /// Per-interval accumulators (index i covers [bounds_[i],
-  /// bounds_[i+1]); the last is live only when open_top_).
-  std::vector<int64_t> sums_;
+  /// bounds_[i+1]); the last is live only when open_top_). Sums wrap
+  /// mod 2^64, like the kernels'.
+  std::vector<uint64_t> sums_;
   std::vector<int64_t> counts_;
   size_t scanned_ = 0;
   /// Per-chunk partials of the parallel scan (chunk-major).
-  std::vector<int64_t> scratch_sums_;
+  std::vector<uint64_t> scratch_sums_;
   std::vector<int64_t> scratch_counts_;
   /// First-run index of each span of the parallel run-list scan.
   std::vector<size_t> scratch_span_starts_;

@@ -52,10 +52,13 @@ QueryResult RangeSumPredicatedAvx512(const value_t* data, size_t n,
   const __m512i s = _mm512_add_epi64(_mm512_add_epi64(s0, s1),
                                      _mm512_add_epi64(s2, s3));
   const QueryResult tail = detail::RangeSumPredicatedScalar(data + i, n - i, q);
-  // Tail merge in uint64_t: mod-2^64 like the lanes, without
-  // signed-overflow UB.
-  const uint64_t sum = static_cast<uint64_t>(_mm512_reduce_add_epi64(s)) +
-                       static_cast<uint64_t>(tail.sum);
+  // Horizontal reduction and tail merge in uint64_t: mod-2^64 like the
+  // lanes, without signed-overflow UB (which _mm512_reduce_add_epi64's
+  // signed adds would risk).
+  alignas(64) uint64_t lanes[8];
+  _mm512_store_si512(lanes, s);
+  uint64_t sum = static_cast<uint64_t>(tail.sum);
+  for (const uint64_t lane : lanes) sum += lane;
   return {static_cast<int64_t>(sum),
           static_cast<int64_t>(count) + tail.count};
 }

@@ -95,12 +95,15 @@ void RadixScatter(const value_t* src, size_t n, value_t base, int shift,
 void RadixSortFlat(value_t* data, value_t* scratch, size_t n, value_t min_v,
                    value_t max_v);
 
-/// A contiguous source slice for the run-list scatters below (the
-/// budgeted bucket drains hand over block runs from BucketChain
-/// cursors).
+/// A contiguous source slice: `len` elements at `data`. The run-list
+/// scatters and copies below consume lists of them (the budgeted
+/// bucket drains hand over block runs from BucketChain cursors,
+/// gathered by exec::CollectChainRuns), and so does the batch
+/// executor's PredicateSet::ScanRuns — bucket-chain block runs,
+/// cracked pieces, B+-tree leaf runs scanned as one logical sequence.
 struct SrcRun {
-  const value_t* data;
-  size_t len;
+  const value_t* data = nullptr;
+  size_t len = 0;
 };
 
 /// Parallel radix scatter into bucket chains: digits are computed in

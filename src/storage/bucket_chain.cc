@@ -42,10 +42,7 @@ QueryResult BucketChain::RangeSum(const RangeQuery& q) const {
   const kernels::KernelOps& ops = kernels::Dispatch();
   QueryResult result;
   for (const auto& block : blocks_) {
-    const QueryResult part =
-        ops.range_sum_predicated(block->values.get(), block->count, q);
-    result.sum += part.sum;
-    result.count += part.count;
+    result += ops.range_sum_predicated(block->values.get(), block->count, q);
   }
   return result;
 }
@@ -57,10 +54,8 @@ QueryResult BucketChain::RangeSumFrom(const Cursor& cursor,
   for (size_t bi = cursor.block; bi < blocks_.size(); bi++) {
     const Block* b = blocks_[bi].get();
     const size_t start = (bi == cursor.block) ? cursor.offset : 0;
-    const QueryResult part =
+    result +=
         ops.range_sum_predicated(b->values.get() + start, b->count - start, q);
-    result.sum += part.sum;
-    result.count += part.count;
   }
   return result;
 }

@@ -159,6 +159,11 @@ class BucketChain {
     }
     return cursor.offset < blocks_[cursor.block]->count;
   }
+  /// Elements before a valid `cursor` (the drained prefix): every block
+  /// but the tail is full.
+  size_t Position(const Cursor& cursor) const {
+    return cursor.block * block_capacity_ + cursor.offset;
+  }
 
   /// Invokes `fn(value)` for every element from `cursor` (inclusive) to
   /// the end, without advancing the cursor. Used to answer queries over

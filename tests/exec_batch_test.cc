@@ -225,7 +225,7 @@ TEST(PredicateSetTest, ScanRunsMatchesWholeScan) {
     }
     // The same data split into uneven discontiguous runs (zero-length
     // runs included), across serial and parallel run-list paths.
-    std::vector<exec::SrcBlock> runs;
+    std::vector<parallel::SrcRun> runs;
     size_t pos = 0;
     size_t step = 1;
     while (pos < data.size()) {

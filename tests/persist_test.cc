@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -24,6 +25,7 @@
 #include "common/fault.h"
 #include "common/rng.h"
 #include "core/budget.h"
+#include "core/incremental_quicksort.h"
 #include "core/updatable_index.h"
 #include "eval/registry.h"
 #include "exec/zero_budget_scan.h"
@@ -377,6 +379,239 @@ TEST(PersistRoundTrip, RejectsPayloadForDifferentColumnSize) {
   auto wrong = MakeIndex("pq", other, BudgetSpec::FixedDelta(0.25));
   persist::Reader r = persist::Reader::FromPayload(saved);
   EXPECT_FALSE(wrong->LoadState(&r));
+}
+
+// --- snapshot geometry -------------------------------------------------
+
+uint64_t GetU64(const std::string& s, size_t offset) {
+  uint64_t v = 0;
+  std::memcpy(&v, s.data() + offset, sizeof(v));
+  return v;
+}
+
+void PutU64(std::string* s, size_t offset, uint64_t v) {
+  std::memcpy(s->data() + offset, &v, sizeof(v));
+}
+
+/// Offset just past the BucketChain saved at `offset` (block capacity,
+/// element count, then one count-prefixed run per block).
+size_t SkipChain(const std::string& s, size_t offset) {
+  size_t left = GetU64(s, offset + 8);
+  offset += 16;
+  while (left > 0) {
+    const size_t run = GetU64(s, offset);
+    offset += 8 + 8 * run;
+    left -= run;
+  }
+  return offset;
+}
+
+/// Offset of pb's merge_bucket_, which follows min_, max_, the
+/// boundaries, copy_pos_, final_ and the bucket chains.
+size_t PbMergeBucketOffset(const std::string& s, size_t n) {
+  size_t offset = 48 + 8 * GetU64(s, 24) + 8 * n;
+  const size_t buckets = GetU64(s, offset);
+  offset += 8;
+  for (size_t b = 0; b < buckets; b++) offset = SkipChain(s, offset);
+  return offset;
+}
+
+/// One field of a real, CRC-valid payload rewritten to contradict what
+/// the constructor derives from the same column and options, or what
+/// the rest of the payload says. Offsets follow each index's SaveBody
+/// layout after the 8-byte phase word; `n` is the column size. `patch`
+/// returns false when the payload lacks the state it rewrites (the
+/// test then runs another query and tries again).
+struct GeometryMutation {
+  const char* name;
+  const char* algo;
+  uint64_t phase;  ///< phase word of the payload (0 creation, 1 refinement)
+  bool (*patch)(std::string* payload, size_t n);
+};
+
+const GeometryMutation kGeometryMutations[] = {
+    // pq: index_ (count + n values), pivot_, copy_pos_, low_pos_,
+    // high_pos_, the budget controller, then the refinement sorter
+    // (span length first). A high_pos_ off the fringe invariant would
+    // make the next creation step write before index_; fringes that
+    // overlap past the end would make it read past the column.
+    {"pq_high_pos", "pq", 0,
+     [](std::string* s, size_t n) {
+       PutU64(s, 40 + 8 * n, static_cast<uint64_t>(int64_t{-5}));
+       return true;
+     }},
+    {"pq_overlapping_fringes", "pq", 0,
+     [](std::string* s, size_t n) {
+       PutU64(s, 24 + 8 * n, 2 * n);
+       PutU64(s, 32 + 8 * n, n);
+       PutU64(s, 40 + 8 * n, static_cast<uint64_t>(int64_t{-1}));
+       return true;
+     }},
+    {"pq_pivot", "pq", 0,
+     [](std::string* s, size_t n) {
+       PutU64(s, 16 + 8 * n, GetU64(*s, 16 + 8 * n) + 1);
+       return true;
+     }},
+    {"pq_sorter_length", "pq", 1,
+     [](std::string* s, size_t n) {
+       PutU64(s, 64 + 8 * n, n + 1);
+       return true;
+     }},
+    // pmsd: min_, max_, root_shift_, root_mask_, copy_pos_, merged_,
+    // the budget controller, then final_ and the pending buckets. Shift
+    // 0 would send root bucket ids past the 64 chains; a split with
+    // one child would scatter up to 64 ids into it.
+    {"pmsd_root_shift", "pmsd", 0,
+     [](std::string* s, size_t) {
+       PutU64(s, 24, 0);
+       return true;
+     }},
+    {"pmsd_root_mask", "pmsd", 0,
+     [](std::string* s, size_t) {
+       PutU64(s, 32, 255);
+       return true;
+     }},
+    {"pmsd_min", "pmsd", 0,
+     [](std::string* s, size_t) {
+       PutU64(s, 8, GetU64(*s, 8) - 1);
+       return true;
+     }},
+    {"pmsd_split_children", "pmsd", 1,
+     [](std::string* s, size_t n) {
+       // The front pending bucket: lo, hi, shift, chain, splitting,
+       // cursor (block, offset), child count, children.
+       const size_t front = 88 + 8 * n;
+       if (GetU64(*s, 80 + 8 * n) == 0 || GetU64(*s, front + 16) < 6) {
+         return false;
+       }
+       const size_t splitting = SkipChain(*s, front + 24);
+       if (GetU64(*s, splitting) != 0) return false;
+       PutU64(s, splitting, 1);
+       PutU64(s, splitting + 24, 1);
+       std::string empty_child(16, '\0');
+       PutU64(&empty_child, 0, GetU64(*s, front + 24));
+       s->insert(splitting + 32, empty_child);
+       return true;
+     }},
+    // plsd: min_, max_, total_passes_, copy_pos_, pass_. Pass 0 in
+    // refinement would shift the input generation's digits by
+    // 6·(2^64 − 1); a copy_pos_ behind the chains' contents would copy
+    // elements twice.
+    {"plsd_pass_zero", "plsd", 1,
+     [](std::string* s, size_t) {
+       PutU64(s, 40, 0);
+       return true;
+     }},
+    {"plsd_total_passes", "plsd", 1,
+     [](std::string* s, size_t) {
+       PutU64(s, 24, GetU64(*s, 24) + 1);
+       return true;
+     }},
+    {"plsd_max", "plsd", 1,
+     [](std::string* s, size_t) {
+       PutU64(s, 16, GetU64(*s, 16) + 1);
+       return true;
+     }},
+    {"plsd_copy_pos", "plsd", 0,
+     [](std::string* s, size_t) {
+       if (GetU64(*s, 32) == 0) return false;
+       PutU64(s, 32, GetU64(*s, 32) - 1);
+       return true;
+     }},
+    // pb: min_, max_, boundaries_ (count + values), copy_pos_, final_,
+    // the bucket chains, then merge_bucket_, sorted_end_, fill_pos_,
+    // filling_. No boundaries would send BucketHi past the end of the
+    // vector; a fill position past the drained elements would make the
+    // next fill write past final_.
+    {"pb_no_boundaries", "pb", 0,
+     [](std::string* s, size_t) {
+       const size_t count = GetU64(*s, 24);
+       s->erase(32, 8 * count);
+       PutU64(s, 24, 0);
+       return true;
+     }},
+    {"pb_boundary_order", "pb", 0,
+     [](std::string* s, size_t) {
+       PutU64(s, 32, GetU64(*s, 16));
+       return true;
+     }},
+    {"pb_fill_past_end", "pb", 1,
+     [](std::string* s, size_t n) {
+       const size_t merge_bucket = PbMergeBucketOffset(*s, n);
+       if (GetU64(*s, merge_bucket + 24) == 0) return false;  // not filling
+       PutU64(s, merge_bucket + 16, n);
+       return true;
+     }},
+};
+
+class PersistGeometryTest
+    : public ::testing::TestWithParam<GeometryMutation> {};
+
+TEST_P(PersistGeometryTest, RejectsPayloadContradictingConstructor) {
+  const GeometryMutation& m = GetParam();
+  const Column column = MakeUniformColumn(8000, 71);
+  const auto workload = WorkloadGenerator::Generate(
+      WorkloadPattern::kRandom, column.min_value(), column.max_value(), 60,
+      0.1, 73);
+  const BudgetSpec budget = BudgetSpec::FixedDelta(0.25);
+  auto index = MakeIndex(m.algo, column, budget);
+  std::string saved;
+  std::string patched;
+  for (size_t i = 0; i < workload.size(); i++) {
+    index->Query(workload[i]);
+    saved = StatePayload(*index);
+    if (GetU64(saved, 0) > m.phase) break;
+    patched = saved;
+    if (GetU64(saved, 0) == m.phase && m.patch(&patched, column.size())) {
+      break;
+    }
+  }
+  ASSERT_EQ(GetU64(saved, 0), m.phase) << "no payload to patch";
+  {
+    auto reloaded = MakeIndex(m.algo, column, budget);
+    persist::Reader r = persist::Reader::FromPayload(saved);
+    ASSERT_TRUE(reloaded->LoadState(&r)) << "the unpatched payload loads";
+  }
+  ASSERT_NE(patched, saved);
+  auto reloaded = MakeIndex(m.algo, column, budget);
+  persist::Reader r = persist::Reader::FromPayload(patched);
+  EXPECT_FALSE(reloaded->LoadState(&r)) << m.name;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMutations, PersistGeometryTest, ::testing::ValuesIn(kGeometryMutations),
+    [](const ::testing::TestParamInfo<GeometryMutation>& i) {
+      return std::string(i.param.name);
+    });
+
+TEST(PersistSorterGeometry, RejectsSpanOrCursorOutsideTheArray) {
+  constexpr size_t kN = 4096;
+  std::vector<value_t> data(kN);
+  Rng rng(13);
+  for (value_t& v : data) v = static_cast<value_t>(rng.NextBounded(kN));
+  IncrementalQuicksort sorter;
+  sorter.Init(data.data(), kN, 0, kN - 1, /*l1_elements=*/256);
+  sorter.DoWork(1000, RangeQuery{0, static_cast<value_t>(kN)});
+  persist::Writer w;
+  sorter.SaveState(&w);
+  const std::string saved = w.payload();
+  // n, l1, scale, height, then the root: present, start, end, pivot,
+  // min, max, lo, hi, partitioned, sorted. The root is mid-partition,
+  // its unclassified region [lo, hi] inside [0, n).
+  ASSERT_EQ(GetU64(saved, 96), 0u);
+  const auto loads = [&](const std::string& payload, size_t n) {
+    IncrementalQuicksort reloaded;
+    persist::Reader r = persist::Reader::FromPayload(payload);
+    return reloaded.LoadState(&r, data.data(), n);
+  };
+  EXPECT_TRUE(loads(saved, kN));
+  EXPECT_FALSE(loads(saved, kN - 1)) << "a sort over another length";
+  std::string patched = saved;
+  PutU64(&patched, 88, kN);
+  EXPECT_FALSE(loads(patched, kN)) << "hi past the span";
+  patched = saved;
+  PutU64(&patched, 80, GetU64(saved, 88) + 1);
+  EXPECT_FALSE(loads(patched, kN)) << "lo past hi";
 }
 
 // --- checkpointer ------------------------------------------------------

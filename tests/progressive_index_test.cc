@@ -1,0 +1,206 @@
+// The phase machine the four progressive indexes share
+// (core/progressive_index.h): consolidation progress telemetry, and
+// value arithmetic at the edges of the 64-bit domain — sums that wrap
+// and columns spanning (nearly) all of int64_t — checked against a
+// uint64_t oracle in every phase, through Query and QueryBatch.
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <set>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "common/rng.h"
+#include "core/progressive_bucketsort.h"
+#include "core/progressive_quicksort.h"
+#include "core/progressive_radixsort_lsd.h"
+#include "core/progressive_radixsort_msd.h"
+#include "eval/registry.h"
+#include "workload/data_generator.h"
+
+namespace progidx {
+namespace {
+
+constexpr value_t kMin = std::numeric_limits<value_t>::min();
+constexpr value_t kMax = std::numeric_limits<value_t>::max();
+
+/// Phase index of one of the four progressive indexes: each Phase enum
+/// numbers the build phases first, then consolidation, then done.
+int PhaseOf(const IndexBase& index) {
+  if (const auto* p = dynamic_cast<const ProgressiveQuicksort*>(&index)) {
+    return static_cast<int>(p->phase());
+  }
+  if (const auto* p = dynamic_cast<const ProgressiveRadixsortMSD*>(&index)) {
+    return static_cast<int>(p->phase());
+  }
+  if (const auto* p = dynamic_cast<const ProgressiveRadixsortLSD*>(&index)) {
+    return static_cast<int>(p->phase());
+  }
+  if (const auto* p = dynamic_cast<const ProgressiveBucketsort*>(&index)) {
+    return static_cast<int>(p->phase());
+  }
+  ADD_FAILURE() << "not a progressive index: " << index.name();
+  return -1;
+}
+
+int PhaseCount(const std::string& algo) { return algo == "plsd" ? 5 : 4; }
+
+/// SUM/COUNT of the column's values in [q.low, q.high], summed mod 2^64.
+QueryResult Oracle(const Column& column, const RangeQuery& q) {
+  uint64_t sum = 0;
+  int64_t count = 0;
+  for (const value_t v : column.values()) {
+    if (v < q.low || v > q.high) continue;
+    sum += static_cast<uint64_t>(v);
+    count++;
+  }
+  return {static_cast<int64_t>(sum), count};
+}
+
+/// 4096 values in [2^61, 2^61 + 2^20): the domain is narrow but every
+/// wide SUM exceeds INT64_MAX and wraps.
+Column WrappingSumsColumn() {
+  Rng rng(3);
+  std::vector<value_t> values(4096);
+  for (value_t& v : values) {
+    v = (value_t{1} << 61) + static_cast<value_t>(rng.NextBounded(1u << 20));
+  }
+  return Column(std::move(values));
+}
+
+/// 4096 values spanning exactly [lo, hi] over the full 64-bit range,
+/// with a cluster just below hi so radix buckets at the top of the
+/// domain fill up and split.
+Column FullWidthColumn(value_t lo, value_t hi) {
+  Rng rng(5);
+  std::vector<value_t> values = {lo, hi};
+  while (values.size() < 1024) {
+    values.push_back(
+        hi - static_cast<value_t>(rng.NextBounded(uint64_t{1} << 45)));
+  }
+  while (values.size() < 4096) {
+    values.push_back(std::clamp(static_cast<value_t>(rng.Next()), lo, hi));
+  }
+  return Column(std::move(values));
+}
+
+/// Ranges between column values, points, the whole domain, and ranges
+/// open at either end of it.
+std::vector<RangeQuery> EdgeQueries(const Column& column, size_t count) {
+  Rng rng(11);
+  const std::vector<value_t>& v = column.values();
+  std::vector<RangeQuery> qs;
+  for (size_t i = 0; i < count; i++) {
+    value_t a = v[rng.NextBounded(v.size())];
+    value_t b = v[rng.NextBounded(v.size())];
+    if (a > b) std::swap(a, b);
+    switch (i % 5) {
+      case 0: qs.push_back({a, b}); break;
+      case 1: qs.push_back({a, a}); break;
+      case 2: qs.push_back({kMin, kMax}); break;
+      case 3: qs.push_back({a, kMax}); break;
+      default: qs.push_back({kMin, b}); break;
+    }
+  }
+  return qs;
+}
+
+using EdgeParam = std::tuple<std::string, std::string, size_t>;
+
+class ProgressiveDomainEdgeTest
+    : public ::testing::TestWithParam<EdgeParam> {};
+
+// Every phase of every index answers exactly, mod 2^64, on columns whose
+// sums wrap or whose width exceeds INT64_MAX.
+TEST_P(ProgressiveDomainEdgeTest, AnswersMatchUnsignedOracleInEveryPhase) {
+  const auto& [algo, kind, batch] = GetParam();
+  const Column column = kind == "wrapping_sums" ? WrappingSumsColumn()
+                        : kind == "full_width_low"
+                            ? FullWidthColumn(kMin, kMax - 1)
+                            : FullWidthColumn(kMin + 5, kMax);
+  // A small L1 makes radix buckets split and quicksort leaves stay
+  // partitioned, so a 4096-row column exercises every refinement path.
+  MachineConstants machine = GlobalMachineConstants();
+  machine.l1_cache_elements = 64;
+  ProgressiveOptions options;
+  options.machine = &machine;
+  auto index = MakeIndex(algo, column, BudgetSpec::FixedDelta(0.1), options);
+  const std::vector<RangeQuery> qs = EdgeQueries(column, 64 * batch);
+  std::vector<QueryResult> out(batch);
+  std::set<int> phases;
+  size_t done_batches = 0;
+  for (size_t step = 0; step < 20000 && done_batches < 4; step++) {
+    phases.insert(PhaseOf(*index));
+    if (index->converged()) done_batches++;
+    const RangeQuery* group = &qs[(step * batch) % qs.size()];
+    if (batch == 1) {
+      out[0] = index->Query(group[0]);
+    } else {
+      index->QueryBatch(group, batch, out.data());
+    }
+    for (size_t i = 0; i < batch; i++) {
+      ASSERT_EQ(out[i], Oracle(column, group[i]))
+          << algo << " " << kind << " step " << step << " query ["
+          << group[i].low << ", " << group[i].high << "] phase "
+          << PhaseOf(*index);
+    }
+  }
+  EXPECT_TRUE(index->converged());
+  EXPECT_EQ(static_cast<int>(phases.size()), PhaseCount(algo))
+      << "every phase must be exercised";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllProgressive, ProgressiveDomainEdgeTest,
+    ::testing::Combine(::testing::Values("pq", "pmsd", "plsd", "pb"),
+                       ::testing::Values("wrapping_sums", "full_width_low",
+                                         "full_width_high"),
+                       ::testing::Values(size_t{1}, size_t{16})),
+    [](const ::testing::TestParamInfo<EdgeParam>& i) {
+      return std::get<0>(i.param) + "_" + std::get<1>(i.param) + "_batch" +
+             std::to_string(std::get<2>(i.param));
+    });
+
+class ProgressiveConvergenceTest
+    : public ::testing::TestWithParam<std::string> {};
+
+// The convergence fraction never falls, and consolidation moves it past
+// 0.9 as the B+-tree's internal keys are built.
+TEST_P(ProgressiveConvergenceTest, FractionRisesThroughConsolidation) {
+  const std::string algo = GetParam();
+  const Column column = MakeUniformColumn(20000, 5);
+  auto index = MakeIndex(algo, column, BudgetSpec::FixedDelta(0.02));
+  const int consolidation = PhaseCount(algo) - 2;
+  Rng rng(9);
+  double last = index->ConvergenceFraction();
+  int consolidation_queries = 0;
+  bool above = false;
+  for (int i = 0; i < 100000 && !index->converged(); i++) {
+    const value_t low = static_cast<value_t>(rng.NextBounded(18000));
+    index->Query({low, low + 2000});
+    const double fraction = index->ConvergenceFraction();
+    EXPECT_GE(fraction, last) << algo << " at query " << i;
+    last = fraction;
+    if (PhaseOf(*index) != consolidation) continue;
+    consolidation_queries++;
+    EXPECT_GE(fraction, 0.9);
+    EXPECT_LT(fraction, 1.0);
+    above = above || fraction > 0.9;
+  }
+  ASSERT_TRUE(index->converged());
+  EXPECT_GT(consolidation_queries, 1);
+  EXPECT_TRUE(above) << algo << " consolidation stayed at 0.9";
+  EXPECT_EQ(index->ConvergenceFraction(), 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllProgressive, ProgressiveConvergenceTest,
+                         ::testing::Values("pq", "pmsd", "plsd", "pb"),
+                         [](const ::testing::TestParamInfo<std::string>& i) {
+                           return i.param;
+                         });
+
+}  // namespace
+}  // namespace progidx
