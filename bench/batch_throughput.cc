@@ -5,10 +5,13 @@
 // scans while the index still advances one budget per batch) — plus
 // refinement-phase (post-creation-onset) rows per progressive index,
 // where the shared candidate-chain scans and multi-bound cracking of
-// the batch executor's refinement paths carry the win.
+// the batch executor's refinement paths carry the win — plus converged
+// rows per progressive index, where a batch sums the union of its
+// queries' B+-tree leaf runs once.
 //
 // Emits `batch` rows (phase, queries_per_sec, speedup over batch 1,
-// and the cost model's per-query prediction) merged into
+// the cost model's per-query prediction, and the machine's hardware
+// thread count) merged into
 // BENCH_kernels.json next to the kernel/thread rows micro_kernels
 // writes — read-merge-write in both tools, so either run order
 // preserves the other's sections — plus a stdout table.
@@ -16,6 +19,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -30,11 +34,20 @@ namespace {
 constexpr size_t kBatchSizes[] = {1, 4, 16, 64};
 /// Refinement rows need only the baseline and the headline batch size.
 constexpr size_t kRefinementBatchSizes[] = {1, 16};
+/// Converged rows: δ of the unbatched warm-up (large, so a handful of
+/// queries converges); rounds of the query window per timed pass, so a
+/// pass of narrow queries still lasts milliseconds; and passes per
+/// batch size (a converged index no longer changes, so each row keeps
+/// its fastest pass).
+constexpr double kConvergedWarmupDelta = 0.25;
+constexpr size_t kConvergedWarmupMax = 100000;
+constexpr size_t kConvergedRounds = 10;
+constexpr size_t kConvergedPasses = 5;
 
 struct BatchRow {
   std::string index_id;
   std::string workload;
-  std::string phase;  ///< "creation" or "refinement"
+  std::string phase;  ///< "creation", "refinement" or "converged"
   size_t batch = 1;
   size_t queries = 0;
   double queries_per_sec = 0;
@@ -68,6 +81,29 @@ double RunBatches(IndexBase* index, const std::vector<RangeQuery>& queries,
   return secs;
 }
 
+/// Records and prints one row. The first row of a case (`*base_qps`
+/// still 0) sets the rate its speedups are relative to.
+void AddRow(const std::string& index_id, const std::string& workload,
+            const char* phase, size_t batch, size_t count, double secs,
+            double mean_predicted, double* base_qps,
+            std::vector<BatchRow>* rows) {
+  BatchRow row;
+  row.index_id = index_id;
+  row.workload = workload;
+  row.phase = phase;
+  row.batch = batch;
+  row.queries = count;
+  row.queries_per_sec = secs > 0 ? static_cast<double>(count) / secs : 0;
+  if (*base_qps == 0) *base_qps = row.queries_per_sec;
+  row.speedup_vs_1 = *base_qps > 0 ? row.queries_per_sec / *base_qps : 0;
+  row.predicted_per_query = mean_predicted;
+  rows->push_back(row);
+  std::printf(
+      "  %-5s %-9s %-10s batch %-3zu  %10.1f q/s  %5.2fx  pred %.3e s\n",
+      index_id.c_str(), workload.c_str(), row.phase.c_str(), batch,
+      row.queries_per_sec, row.speedup_vs_1, row.predicted_per_query);
+}
+
 void RunCase(const std::string& index_id, const std::string& workload,
              const std::vector<value_t>& values,
              const std::vector<RangeQuery>& queries, size_t count,
@@ -82,21 +118,8 @@ void RunCase(const std::string& index_id, const std::string& workload,
     double mean_predicted = 0;
     const double secs =
         RunBatches(index.get(), queries, count, batch, &mean_predicted);
-    BatchRow row;
-    row.index_id = index_id;
-    row.workload = workload;
-    row.phase = "creation";
-    row.batch = batch;
-    row.queries = count;
-    row.queries_per_sec = secs > 0 ? static_cast<double>(count) / secs : 0;
-    if (batch == 1) base_qps = row.queries_per_sec;
-    row.speedup_vs_1 = base_qps > 0 ? row.queries_per_sec / base_qps : 0;
-    row.predicted_per_query = mean_predicted;
-    rows->push_back(row);
-    std::printf(
-        "  %-5s %-9s %-10s batch %-3zu  %10.1f q/s  %5.2fx  pred %.3e s\n",
-        index_id.c_str(), workload.c_str(), row.phase.c_str(), batch,
-        row.queries_per_sec, row.speedup_vs_1, row.predicted_per_query);
+    AddRow(index_id, workload, "creation", batch, count, secs,
+           mean_predicted, &base_qps, rows);
   }
 }
 
@@ -124,21 +147,45 @@ void RunRefinementCase(const std::string& index_id,
     double mean_predicted = 0;
     const double secs = RunBatches(index.get(), queries, warmup + count,
                                    batch, &mean_predicted, warmup);
-    BatchRow row;
-    row.index_id = index_id;
-    row.workload = workload;
-    row.phase = "refinement";
-    row.batch = batch;
-    row.queries = count;
-    row.queries_per_sec = secs > 0 ? static_cast<double>(count) / secs : 0;
-    if (batch == kRefinementBatchSizes[0]) base_qps = row.queries_per_sec;
-    row.speedup_vs_1 = base_qps > 0 ? row.queries_per_sec / base_qps : 0;
-    row.predicted_per_query = mean_predicted;
-    rows->push_back(row);
-    std::printf(
-        "  %-5s %-9s %-10s batch %-3zu  %10.1f q/s  %5.2fx  pred %.3e s\n",
-        index_id.c_str(), workload.c_str(), row.phase.c_str(), batch,
-        row.queries_per_sec, row.speedup_vs_1, row.predicted_per_query);
+    AddRow(index_id, workload, "refinement", batch, count, secs,
+           mean_predicted, &base_qps, rows);
+  }
+}
+
+/// Converged rows: one unbatched warm-up drives a fresh index to
+/// converged(), then every batch size answers the same first `count`
+/// queries, kConvergedRounds times per pass, against the finished
+/// B+-tree.
+void RunConvergedCase(const std::string& index_id,
+                      const std::string& workload,
+                      const std::vector<value_t>& values,
+                      const std::vector<RangeQuery>& queries, size_t count,
+                      std::vector<BatchRow>* rows) {
+  Column column{std::vector<value_t>(values)};
+  auto index = MakeIndex(index_id, column,
+                         BudgetSpec::FixedDelta(kConvergedWarmupDelta));
+  for (size_t i = 0; i < kConvergedWarmupMax && !index->converged(); i++) {
+    index->Query(queries[i % queries.size()]);
+  }
+  if (!index->converged()) {
+    std::fprintf(stderr, "%s did not converge; no converged rows\n",
+                 index_id.c_str());
+    return;
+  }
+  double base_qps = 0;
+  for (const size_t batch : kBatchSizes) {
+    double best = 0;
+    double mean_predicted = 0;
+    for (size_t pass = 0; pass < kConvergedPasses; pass++) {
+      double secs = 0;
+      for (size_t round = 0; round < kConvergedRounds; round++) {
+        secs +=
+            RunBatches(index.get(), queries, count, batch, &mean_predicted);
+      }
+      if (pass == 0 || secs < best) best = secs;
+    }
+    AddRow(index_id, workload, "converged", batch, kConvergedRounds * count,
+           best, mean_predicted, &base_qps, rows);
   }
 }
 
@@ -148,6 +195,7 @@ void RunRefinementCase(const std::string& index_id,
 /// through untouched, in either run order.
 void WriteBatchJson(const char* path, const std::vector<BatchRow>& rows) {
   std::vector<bench::JsonSection> sections = bench::ReadJsonSections(path);
+  const unsigned hw_threads = std::thread::hardware_concurrency();
   std::string raw = "[\n";
   for (size_t i = 0; i < rows.size(); i++) {
     const BatchRow& r = rows[i];
@@ -156,10 +204,10 @@ void WriteBatchJson(const char* path, const std::vector<BatchRow>& rows) {
         "    {\"index\": \"%s\", \"workload\": \"%s\", \"phase\": \"%s\", "
         "\"batch\": %zu, \"queries\": %zu, \"queries_per_sec\": %.1f, "
         "\"speedup_vs_batch1\": %.3f, \"predicted_per_query_secs\": "
-        "%.4e}%s\n",
+        "%.4e, \"hardware_threads\": %u}%s\n",
         r.index_id.c_str(), r.workload.c_str(), r.phase.c_str(), r.batch,
         r.queries, r.queries_per_sec, r.speedup_vs_1, r.predicted_per_query,
-        i + 1 < rows.size() ? "," : "");
+        hw_threads, i + 1 < rows.size() ? "," : "");
   }
   raw += "  ]";
   bench::UpsertJsonSection(&sections, "batch", std::move(raw));
@@ -220,6 +268,10 @@ int main(int argc, char** argv) {
       RunRefinementCase(id, "uniform", values, queries, count, refine_delta,
                         &rows);
     }
+    std::printf("uniform n=%zu, %zu converged queries:\n", n, count);
+    for (const std::string& id : ProgressiveIndexIds()) {
+      RunConvergedCase(id, "uniform", values, queries, count, &rows);
+    }
   }
   // SkyServer data + query log.
   {
@@ -232,6 +284,12 @@ int main(int argc, char** argv) {
                                   std::string("plsd"), std::string("pmsd"),
                                   std::string("fs")}) {
       RunCase(id, "skyserver", values, sky.queries, sky_count, delta, &rows);
+    }
+    std::printf("skyserver n=%zu, %zu converged queries:\n",
+                sky.column.size(), sky_count);
+    for (const std::string& id : ProgressiveIndexIds()) {
+      RunConvergedCase(id, "skyserver", values, sky.queries, sky_count,
+                       &rows);
     }
   }
   WriteBatchJson(cli.GetString("json").c_str(), rows);

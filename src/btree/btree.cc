@@ -1,7 +1,9 @@
 #include "btree/btree.h"
 
 #include <algorithm>
+#include <limits>
 
+#include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
@@ -55,15 +57,20 @@ size_t BPlusTree::LowerBound(value_t v) const {
       std::lower_bound(sorted_ + lo, sorted_ + hi, v) - sorted_);
 }
 
+size_t BPlusTree::UpperBound(value_t v) const {
+  return v == std::numeric_limits<value_t>::max() ? n_ : LowerBound(v + 1);
+}
+
 QueryResult BPlusTree::RangeSum(const RangeQuery& q) const {
   const size_t begin = LowerBound(q.low);
-  uint64_t sum = 0;  // mod 2^64, like the kernels
-  int64_t count = 0;
-  for (size_t i = begin; i < n_ && sorted_[i] <= q.high; i++) {
-    sum += static_cast<uint64_t>(sorted_[i]);
-    count++;
-  }
-  return {static_cast<int64_t>(sum), count};
+  const size_t end = UpperBound(q.high);
+  if (begin >= end) return {};
+  // The serial kernel, never PredicatedRangeSum: read epochs call this
+  // from client threads (ProgressiveIndex::TryReadOnlyQuery) while the
+  // thread pool belongs to the scheduler's write epoch — the same seam
+  // exec::ZeroBudgetScan stays off.
+  return kernels::Dispatch().range_sum_predicated(sorted_ + begin,
+                                                  end - begin, q);
 }
 
 void BPlusTree::SaveState(persist::Writer* w) const {

@@ -60,7 +60,17 @@ class BPlusTree {
   /// tree is complete).
   size_t LowerBound(value_t v) const;
 
-  /// SUM/COUNT of elements in [q.low, q.high].
+  /// Index of the first element > v: LowerBound(v + 1), or the leaf
+  /// count when v is the top of the domain. A query's matched leaf run
+  /// is [LowerBound(q.low), UpperBound(q.high)) — empty when it does
+  /// not begin before it ends (q.low > q.high, or no match).
+  size_t UpperBound(value_t v) const;
+
+  /// SUM/COUNT of elements in [q.low, q.high]: two descents bound the
+  /// matched leaf run, and one pass of the dispatched kernel sums it —
+  /// every element in the run qualifies, so the predicate never rejects
+  /// and the pass reads the run at memory speed. Serial on the calling
+  /// thread; safe to call from many threads at once.
   QueryResult RangeSum(const RangeQuery& q) const;
 
   /// Serializes n_, fanout and the internal levels built so far

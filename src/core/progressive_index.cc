@@ -69,8 +69,9 @@ ProgressiveIndex::Prediction ProgressiveIndex::Predict(const RangeQuery& q,
                                                        double answer_est,
                                                        double delta) const {
   if (building()) return PredictBuild(q, answer_est, delta);
-  // Matched leaf runs scan once per batch (exec::BatchBTreeRangeSum); the
-  // tree descent stays per query.
+  // The matched leaf run is one sequential read; the tree descent is
+  // per query. A batch re-prices the read from the union of its runs
+  // (QueryBatch).
   const double alpha = SelectivityEstimate(q);
   const double shared = alpha * model_.ScanSecs();
   const double seq_read = model_.constants().seq_read_secs;
@@ -121,17 +122,17 @@ QueryResult ProgressiveIndex::Answer(const RangeQuery& q) const {
   return building() ? AnswerBuild(q) : btree_.RangeSum(q);
 }
 
-void ProgressiveIndex::AnswerBatch(const RangeQuery* qs, size_t count,
-                                   QueryResult* out) const {
+size_t ProgressiveIndex::AnswerBatch(const RangeQuery* qs, size_t count,
+                                     QueryResult* out) const {
   std::fill(out, out + count, QueryResult{});
   if (building()) {
     AnswerBuildBatch(qs, count, out);
-    return;
+    return 0;
   }
-  // Matched B+-tree leaf runs merge across the batch and scan once
-  // (overlapping queries load each leaf a single time).
-  exec::BatchBTreeRangeSum(btree_, qs, count, out, &pset_,
-                           &scratch_pos_ranges_);
+  // Each leaf in the union of the matched runs is summed once per batch
+  // (overlapping queries read it a single time).
+  return exec::BatchBTreeRangeSum(btree_, qs, count, out, &pset_,
+                                  &scratch_pos_ranges_);
 }
 
 bool ProgressiveIndex::TryReadOnlyQuery(const RangeQuery& q,
@@ -184,11 +185,20 @@ void ProgressiveIndex::QueryBatch(const RangeQuery* qs, size_t count,
     obs::TraceScope span("refine", telemetry_.category());
     PrepareQuery(qs[0]);
   }
+  size_t leaves_read = 0;
   {
     obs::TraceScope span("shared_scan", telemetry_.category());
-    AnswerBatch(qs, count, out);
+    leaves_read = AnswerBatch(qs, count, out);
   }
-  if (count > 1) {
+  if (count > 1 && phase_at_start >= build_phases_) {
+    // Consolidation and done batches read the union of their leaf runs
+    // once, predicate-free: the batch shares that read and the
+    // indexing work; each query pays its own descent.
+    predicted_ = (pred_.index_secs + static_cast<double>(leaves_read) *
+                                         model_.constants().seq_read_secs) /
+                     static_cast<double>(count) +
+                 pred_.private_secs;
+  } else if (count > 1) {
     predicted_ = model_.BatchPerQuerySecs(pred_.index_secs, pred_.shared_secs,
                                           pred_.private_secs, count,
                                           pred_.shared_elem_secs);

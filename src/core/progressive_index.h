@@ -180,7 +180,10 @@ class ProgressiveIndex : public IndexBase {
   /// Performs `secs` worth of indexing work, cascading across phase
   /// transitions.
   void DoWorkSecs(double secs);
-  void AnswerBatch(const RangeQuery* qs, size_t count, QueryResult* out) const;
+  /// Answers the batch against the current state; returns the leaves
+  /// read on the tree path (0 while building).
+  size_t AnswerBatch(const RangeQuery* qs, size_t count,
+                     QueryResult* out) const;
 
   const int build_phases_;
   int phase_ = 0;

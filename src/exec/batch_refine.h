@@ -11,20 +11,24 @@
 namespace progidx {
 namespace exec {
 
-/// Consolidation/converged-phase batch answer: each query's matched
-/// region in the tree's sorted leaf array becomes a leaf run
-/// [LowerBound(low), LowerBound(high + 1)); overlapping runs merge and
-/// scan once for the whole batch. Adds into out[0, count) (callers
-/// zero-fill). Bit-identical to per-query BPlusTree::RangeSum — a run
-/// holds exactly a query's matched elements, the shared predicate
-/// re-check keeps other queries' contributions at zero, and sums are
-/// exact 64-bit integers.
+/// Consolidation/converged-phase batch answer. Each query's matched
+/// region in the tree's sorted leaf array is a leaf run
+/// [LowerBound(low), UpperBound(high)). The distinct run endpoints cut
+/// the union of the runs into segments; each covered segment is summed
+/// once by the dispatched kernel (through PredicatedRangeSum, so a
+/// large segment splits across the thread pool), with no per-query
+/// predicate — every leaf in a run qualifies. A query's answer is the
+/// difference of the segment prefix sums at its run's ends, its count
+/// the run's length. Adds into out[0, count) (callers zero-fill).
+/// Bit-identical to per-query BPlusTree::RangeSum: sums are exact
+/// 64-bit integers, wrapping mod 2^64.
 ///
-/// `pset` and `scratch` are caller-owned scratch, reused across batches
-/// (the same pattern as the creation-phase shared scans).
-void BatchBTreeRangeSum(const BPlusTree& tree, const RangeQuery* qs,
-                        size_t count, QueryResult* out, PredicateSet* pset,
-                        std::vector<PosRange>* scratch);
+/// Returns the number of leaves summed — the size of the runs' union,
+/// which prices the batch (docs/batching.md). `pset` and `scratch` go
+/// unused; they keep existing callers compiling.
+size_t BatchBTreeRangeSum(const BPlusTree& tree, const RangeQuery* qs,
+                          size_t count, QueryResult* out, PredicateSet* pset,
+                          std::vector<PosRange>* scratch);
 
 }  // namespace exec
 }  // namespace progidx

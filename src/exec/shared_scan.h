@@ -90,7 +90,7 @@ class PredicateSet {
   /// Scans runs[0, count) as one logical sequence: every block is
   /// loaded once and serves all predicates — the refinement-phase
   /// counterpart of Scan for data that lives in discontiguous blocks
-  /// (bucket-chain runs, cracked pieces, B+-tree leaf runs). Large run
+  /// (bucket-chain runs, cracked pieces). Large run
   /// lists split across the thread pool by whole runs, grouped into
   /// fixed-geometry spans whose integer partials merge exactly, so the
   /// totals are bit-identical to the serial walk at any lane count.

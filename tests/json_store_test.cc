@@ -3,6 +3,8 @@
 // bytes are backed up to `.bak` and the store starts fresh — and the
 // read-merge-write cycle must round-trip foreign sections untouched.
 
+#include <stdlib.h>
+
 #include <cstdio>
 #include <string>
 
@@ -14,8 +16,25 @@ namespace progidx {
 namespace bench {
 namespace {
 
+/// A directory of this process's own, removed at exit: test processes
+/// running side by side (the parallel ctest lanes) never share a path.
+struct ProcessTempDir {
+  ProcessTempDir() {
+    std::string tmpl = ::testing::TempDir() + "progidx_json_store_XXXXXX";
+    if (::mkdtemp(tmpl.data()) != nullptr) path = tmpl;
+  }
+  ~ProcessTempDir() {
+    if (path.empty()) return;
+    const std::string cmd = "rm -rf " + path;
+    (void)std::system(cmd.c_str());
+  }
+  std::string path;
+};
+
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + name;
+  static const ProcessTempDir dir;
+  EXPECT_FALSE(dir.path.empty()) << "mkdtemp failed";
+  return dir.path + "/" + name;
 }
 
 void WriteFile(const std::string& path, const std::string& content) {

@@ -1,3 +1,9 @@
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
@@ -89,7 +95,11 @@ TEST(TableReportTest, CsvRoundTrip) {
   TableReport report({"a", "b"});
   report.AddRow({"1", "2"});
   report.AddRow({"x", "y"});
-  const std::string path = ::testing::TempDir() + "/report.csv";
+  // A directory of this process's own: test processes running side by
+  // side (the parallel ctest lanes) never share the file.
+  std::string dir = ::testing::TempDir() + "progidx_report_XXXXXX";
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const std::string path = dir + "/report.csv";
   report.WriteCsv(path);
   std::FILE* f = std::fopen(path.c_str(), "r");
   ASSERT_NE(f, nullptr);
@@ -99,6 +109,8 @@ TEST(TableReportTest, CsvRoundTrip) {
   ASSERT_NE(std::fgets(buffer, sizeof(buffer), f), nullptr);
   EXPECT_STREQ(buffer, "1,2\n");
   std::fclose(f);
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

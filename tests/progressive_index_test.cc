@@ -1,8 +1,9 @@
 // The phase machine the four progressive indexes share
-// (core/progressive_index.h): consolidation progress telemetry, and
-// value arithmetic at the edges of the 64-bit domain — sums that wrap
-// and columns spanning (nearly) all of int64_t — checked against a
-// uint64_t oracle in every phase, through Query and QueryBatch.
+// (core/progressive_index.h): consolidation progress telemetry, the
+// pricing of converged batches, and value arithmetic at the edges of
+// the 64-bit domain — sums that wrap and columns spanning (nearly) all
+// of int64_t — checked against a uint64_t oracle in every phase,
+// through Query and QueryBatch.
 
 #include <gtest/gtest.h>
 
@@ -201,6 +202,51 @@ INSTANTIATE_TEST_SUITE_P(AllProgressive, ProgressiveConvergenceTest,
                          [](const ::testing::TestParamInfo<std::string>& i) {
                            return i.param;
                          });
+
+// A converged batch reads the union of its queries' leaf runs once, so
+// each query is priced (index_secs + union · seq_read_secs) / B plus its
+// own descent: 16 disjoint ranges share nothing, 16 copies of one range
+// share all of it.
+TEST(ConvergedBatchPricingTest, PricesTheUnionOfLeafRuns) {
+  MachineConstants machine;
+  machine.seq_read_secs = 1e-9;
+  machine.seq_write_secs = 2e-9;
+  machine.random_access_secs = 5e-8;
+  machine.swap_secs = 3e-9;
+  machine.alloc_secs = 1e-7;
+  machine.bucket_scan_secs = 2e-9;
+  machine.bucket_append_secs = 3e-9;
+  machine.batch_lookup_secs = 4e-10;
+  ProgressiveOptions options;
+  options.machine = &machine;
+  constexpr size_t kN = size_t{1} << 16;
+  const Column column = MakeUniformColumn(kN, 7);  // a permutation of 0..n-1
+  ProgressiveQuicksort index(column, BudgetSpec::FixedDelta(0.5), options);
+  for (value_t i = 0; i < 1000 && !index.converged(); i++) {
+    index.Query({i, i + 100});
+  }
+  ASSERT_TRUE(index.converged());
+  constexpr size_t kBatch = 16;
+  constexpr value_t kWidth = 1000;
+  std::vector<RangeQuery> disjoint;
+  std::vector<RangeQuery> copies;
+  for (size_t i = 0; i < kBatch; i++) {
+    const value_t low = static_cast<value_t>(i) * 2 * kWidth;
+    disjoint.push_back({low, low + kWidth - 1});
+    copies.push_back({5000, 5000 + kWidth - 1});
+  }
+  const double descent = index.cost_model().BinarySearchSecs();
+  const double per_leaf = machine.seq_read_secs / static_cast<double>(kBatch);
+  std::vector<QueryResult> out(kBatch);
+  index.QueryBatch(disjoint.data(), kBatch, out.data());
+  const double disjoint_secs =
+      static_cast<double>(kBatch * kWidth) * per_leaf + descent;
+  EXPECT_NEAR(index.last_predicted_cost(), disjoint_secs,
+              disjoint_secs * 1e-12);
+  index.QueryBatch(copies.data(), kBatch, out.data());
+  const double copies_secs = static_cast<double>(kWidth) * per_leaf + descent;
+  EXPECT_NEAR(index.last_predicted_cost(), copies_secs, copies_secs * 1e-12);
+}
 
 }  // namespace
 }  // namespace progidx

@@ -20,6 +20,9 @@
 #include "core/updatable_index.h"
 #include "exec/zero_budget_scan.h"
 #include "eval/registry.h"
+#include "obs/metrics.h"
+#include "parallel/primitives.h"
+#include "parallel/thread_pool.h"
 #include "serve/epoch.h"
 #include "serve/server.h"
 #include "workload/data_generator.h"
@@ -436,6 +439,67 @@ TEST(ServeTest, ReadEpochsServeConvergedIndexLockFree) {
   const uint64_t read_after = server.stats().read_epoch;
   EXPECT_EQ(read_after - read_before, kClients * kPerClient)
       << "every post-convergence submit should take the lock-free path";
+}
+
+// Read epochs answer on the clients' own threads while the thread pool
+// belongs to the scheduler's write epoch, so a read never fans out to
+// the pool — not even a range wide enough that the parallel scan seam
+// would split it across four lanes.
+TEST(ServeTest, ReadEpochsStayOffThePool) {
+  constexpr size_t kN = size_t{1} << 17;
+  constexpr size_t kClients = 4;
+  constexpr size_t kPerClient = 8;
+  struct LanesAndMetricsGuard {
+    bool metrics = obs::MetricsEnabled();
+    LanesAndMetricsGuard() {
+      parallel::SetLanesForTesting(4);
+      obs::SetMetricsEnabledForTesting(true);
+    }
+    ~LanesAndMetricsGuard() {
+      parallel::SetLanesForTesting(0);
+      obs::SetMetricsEnabledForTesting(metrics);
+    }
+  } guard;
+  const Column column = MakeUniformColumn(kN, 43);
+  const auto warmup = WorkloadGenerator::Generate(
+      WorkloadPattern::kRandom, column.min_value(), column.max_value(), 64,
+      0.1, 47);
+  ProgressiveQuicksort index(column, BudgetSpec::FixedDelta(0.5));
+  serve::Server server(&index, column);
+  for (size_t i = 0; i < 2000 && !index.converged(); ++i) {
+    server.Submit(warmup[i % warmup.size()]);
+  }
+  ASSERT_TRUE(index.converged());
+  server.Submit(warmup[0]);  // read mode is published by now
+  // Every range spans at least 3/4 of the column's 0..n-1 permutation.
+  Rng rng(53);
+  std::vector<RangeQuery> wide(kClients * kPerClient);
+  for (RangeQuery& q : wide) {
+    q.low = static_cast<value_t>(rng.NextBounded(kN / 8));
+    q.high = static_cast<value_t>(kN - 1 - rng.NextBounded(kN / 8));
+  }
+  const obs::Counter tasks("pool.tasks");
+  const uint64_t tasks_before = tasks.Value();
+  const uint64_t read_before = server.stats().read_epoch;
+  std::vector<serve::Response> responses(wide.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t i = c * kPerClient; i < (c + 1) * kPerClient; ++i) {
+        responses[i] = server.Submit(wide[i]);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(tasks.Value(), tasks_before)
+      << "a read-epoch answer ran on the thread pool";
+  EXPECT_EQ(server.stats().read_epoch - read_before, wide.size());
+  for (size_t i = 0; i < wide.size(); ++i) {
+    const QueryResult expected = exec::ZeroBudgetScan(column, wide[i]);
+    EXPECT_GE(static_cast<size_t>(expected.count),
+              2 * parallel::kMinParallelElements);
+    EXPECT_EQ(responses[i].result, expected);
+  }
 }
 
 TEST(ServeTest, BatchOfOneMatchesQueryThroughServer) {
