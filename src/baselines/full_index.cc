@@ -39,10 +39,8 @@ bool FullIndex::LoadState(persist::Reader* r) {
   if (!built_) return true;
   const size_t n = column_.size();
   if (!r->ReadValueVector(&sorted_) || sorted_.size() != n) return false;
-  if (!btree_.LoadState(r, sorted_.data()) || btree_.leaf_count() != n) {
-    return false;
-  }
-  return r->ok();
+  btree_ = BPlusTree(sorted_.data(), n, fanout_);
+  return btree_.LoadState(r);
 }
 
 }  // namespace progidx

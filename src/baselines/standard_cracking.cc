@@ -15,32 +15,10 @@ void StandardCracking::CrackAt(value_t v) {
   cracker_.index().Insert(v, boundary);
 }
 
-void StandardCracking::CrackForQuery(const RangeQuery& q) {
-  cracker_.EnsureMaterialized();
-  const value_t lo = q.low;
-  const bool has_hi = q.high != std::numeric_limits<value_t>::max();
-  const value_t hi = has_hi ? q.high + 1 : q.high;
-  const bool lo_known = cracker_.index().Contains(lo);
-  const bool hi_known = !has_hi || cracker_.index().Contains(hi);
-  if (!lo_known && !hi_known &&
-      cracker_.PieceFor(lo).start == cracker_.PieceFor(hi).start) {
-    // Both predicate values fall into the same piece: one three-way
-    // crack instead of two two-way passes (the classic crack-in-three
-    // of Idreos et al. [16]).
-    const AvlTree::Piece piece = cracker_.PieceFor(lo);
-    const CrackInThreeResult r =
-        CrackInThree(cracker_.data(), piece.start, piece.end, lo, hi);
-    cracker_.index().Insert(lo, r.lo_boundary);
-    cracker_.index().Insert(hi, r.hi_boundary);
-  } else {
-    CrackAt(lo);
-    if (has_hi) CrackAt(hi);
-  }
-}
-
 QueryResult StandardCracking::Query(const RangeQuery& q) {
-  CrackForQuery(q);
-  return cracker_.Answer(q);
+  QueryResult r;
+  QueryBatch(&q, 1, &r);
+  return r;
 }
 
 void StandardCracking::CrackForBatch(const RangeQuery* qs, size_t count) {
@@ -70,7 +48,8 @@ void StandardCracking::CrackForBatch(const RangeQuery* qs, size_t count) {
       continue;
     }
     // Pair with the next unknown bound when both fall into the same
-    // piece: one three-way crack, as in the single-query path.
+    // piece: one three-way crack instead of two two-way passes (the
+    // classic crack-in-three of Idreos et al. [16]).
     if (i + 1 < scratch_bounds_.size()) {
       const value_t hi = scratch_bounds_[i + 1];
       if (!cracker_.index().Contains(hi) &&
@@ -92,11 +71,7 @@ void StandardCracking::CrackForBatch(const RangeQuery* qs, size_t count) {
 void StandardCracking::QueryBatch(const RangeQuery* qs, size_t count,
                                   QueryResult* out) {
   if (count == 0) return;
-  if (count == 1) {
-    CrackForQuery(qs[0]);  // the exact Query() crack: bit-identical
-  } else {
-    CrackForBatch(qs, count);  // one multi-pivot pass, all bounds
-  }
+  CrackForBatch(qs, count);
   std::fill(out, out + count, QueryResult{});
   const size_t n = cracker_.size();
   // Piece-aligned covering region per query, merged so overlapping

@@ -17,6 +17,7 @@ class StandardCracking : public IndexBase {
  public:
   explicit StandardCracking(const Column& column) : cracker_(column) {}
 
+  /// QueryBatch(&q, 1, ...).
   QueryResult Query(const RangeQuery& q) override;
   /// One per-batch indexing pass covering *every* member's bounds:
   /// cracking's indexing effort is predicate-driven, so the batch's
@@ -24,11 +25,11 @@ class StandardCracking : public IndexBase {
   /// bound values, performed in ascending bound order (deterministic
   /// regardless of the queries' arrival order, and the same total crack
   /// work the sequential stream would have paid). Consecutive unknown
-  /// bounds that land in the same piece crack in one three-way pass,
-  /// like the single-query path. Then every query answers from one
-  /// shared PredicateSet pass over the merged piece-aligned regions the
-  /// batch covers. A batch of one routes through the exact Query()
-  /// crack (including its crack-in-three), so it stays bit-identical.
+  /// bounds that land in the same piece crack in one three-way pass.
+  /// Then every query answers from one shared PredicateSet pass over
+  /// the merged piece-aligned regions the batch covers. A batch of one
+  /// is a single query: it cracks on its two bounds, in three when both
+  /// fall into one piece.
   void QueryBatch(const RangeQuery* qs, size_t count,
                   QueryResult* out) override;
   bool converged() const override { return false; }
@@ -40,9 +41,6 @@ class StandardCracking : public IndexBase {
   /// Cracks the piece containing `v` at `v` (no-op if already a
   /// boundary).
   void CrackAt(value_t v);
-  /// The crack-then-index side effect of Query(q), shared by the
-  /// batch-of-1 path.
-  void CrackForQuery(const RangeQuery& q);
   /// Multi-pivot crack on every batch member's bounds, ascending.
   void CrackForBatch(const RangeQuery* qs, size_t count);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
@@ -81,19 +82,29 @@ void BPlusTree::SaveState(persist::Writer* w) const {
   for (const auto& level : levels_) w->WriteValueVector(level);
 }
 
-bool BPlusTree::LoadState(persist::Reader* r, const value_t* sorted) {
-  n_ = r->ReadU64();
-  fanout_ = r->ReadU64();
-  complete_ = r->ReadBool();
-  const size_t level_count = r->ReadU64();
-  if (!r->ok() || fanout_ < 2 || level_count > 64) return false;
-  sorted_ = sorted;
-  levels_.clear();
-  levels_.resize(level_count);
-  for (auto& level : levels_) {
-    if (!r->ReadValueVector(&level)) return false;
+bool BPlusTree::LoadState(persist::Reader* r) {
+  const uint64_t n = r->ReadU64();
+  const uint64_t fanout = r->ReadU64();
+  const bool complete = r->ReadBool();
+  const uint64_t level_count = r->ReadU64();
+  if (!r->ok() || n != n_ || fanout != fanout_ || level_count > 64) {
+    return false;
   }
-  return r->ok();
+  std::vector<std::vector<value_t>> levels(level_count);
+  size_t keys = 0;
+  for (auto& level : levels) {
+    if (!r->ReadValueVector(&level)) return false;
+    keys += level.size();
+  }
+  // Replay the build: the only levels a consolidation can have saved.
+  BPlusTree derived(sorted_, n_, fanout_);
+  if (level_count > 0) ProgressiveBTreeBuilder(&derived).DoWork(keys);
+  if (levels != derived.levels_ || complete != derived.complete_) {
+    return false;
+  }
+  levels_ = std::move(levels);
+  complete_ = complete;
+  return true;
 }
 
 ProgressiveBTreeBuilder::ProgressiveBTreeBuilder(BPlusTree* tree)
@@ -110,7 +121,15 @@ void ProgressiveBTreeBuilder::SaveState(persist::Writer* w) const {
 bool ProgressiveBTreeBuilder::LoadState(persist::Reader* r) {
   source_pos_ = r->ReadU64();
   remaining_ = r->ReadU64();
-  return r->ok();
+  // The level under construction holds every fanout-th key of its
+  // source up to the cursor; the keys not yet copied remain.
+  const auto& levels = tree_->levels_;
+  size_t built = 0;
+  for (const auto& level : levels) built += level.size();
+  const size_t cursor =
+      levels.empty() ? 0 : levels.back().size() * tree_->fanout_;
+  return r->ok() && source_pos_ == cursor &&
+         remaining_ == tree_->TotalInternalKeys() - built;
 }
 
 const value_t* ProgressiveBTreeBuilder::CurrentSource(

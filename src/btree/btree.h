@@ -77,10 +77,14 @@ class BPlusTree {
   /// (docs/recovery.md). The leaf array is external and saved by the
   /// owning index.
   void SaveState(persist::Writer* w) const;
-  /// Restores a tree saved by SaveState over `sorted` (the reloaded
-  /// leaf array, which must hold the saved n_ elements). Returns false
-  /// on a corrupt payload.
-  bool LoadState(persist::Reader* r, const value_t* sorted);
+  /// Restores a tree saved by SaveState into this one, constructed by
+  /// the owner over the reloaded leaf array with its own leaf count and
+  /// fanout. Returns false on a corrupt payload, and on one whose leaf
+  /// count, fanout, levels or completeness differ from what a
+  /// ProgressiveBTreeBuilder derives from the leaf array by copying as
+  /// many keys: any other level geometry would send LowerBound's
+  /// descent window past the level below.
+  bool LoadState(persist::Reader* r);
 
  private:
   friend class ProgressiveBTreeBuilder;
@@ -117,7 +121,9 @@ class ProgressiveBTreeBuilder {
   /// tree's own SaveState).
   void SaveState(persist::Writer* w) const;
   /// Restores the build position saved by SaveState; call after the
-  /// tree itself has been restored with BPlusTree::LoadState.
+  /// tree itself has been restored with BPlusTree::LoadState. Returns
+  /// false unless the position is the one a build reaches with the
+  /// tree's levels.
   bool LoadState(persist::Reader* r);
 
  private:

@@ -237,6 +237,12 @@ void IncrementalQuicksort::CollectRanges(const RangeQuery& q,
   CollectRangesImpl(root_.get(), q, out);
 }
 
+size_t IncrementalQuicksort::SortedIn(const Node* node) {
+  if (node == nullptr) return 0;
+  if (node->sorted) return node->end - node->start;
+  return SortedIn(node->left.get()) + SortedIn(node->right.get());
+}
+
 void IncrementalQuicksort::SaveNode(const Node* node,
                                     persist::Writer* w) const {
   w->WriteBool(node != nullptr);

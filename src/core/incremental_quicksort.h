@@ -100,6 +100,10 @@ class IncrementalQuicksort {
   /// Height of the pivot tree (h in the refinement cost model).
   size_t height() const { return height_; }
 
+  /// Elements in sorted runs of the pivot tree: a walk of its unsorted
+  /// part, for progress telemetry. Never falls between DoWork calls.
+  size_t SortedElements() const { return SortedIn(root_.get()); }
+
   /// Serializes the pivot tree and resumable partition cursors in
   /// preorder (docs/recovery.md). Must only be called between DoWork
   /// calls (pending_leaf_sorts_ is empty then, by invariant).
@@ -141,6 +145,7 @@ class IncrementalQuicksort {
   void FinishPartition(Node* node, size_t depth);
   void CollectRangesImpl(const Node* node, const RangeQuery& q,
                          std::vector<ScanRange>* out) const;
+  static size_t SortedIn(const Node* node);
   void SaveNode(const Node* node, persist::Writer* w) const;
   bool LoadNode(persist::Reader* r, std::unique_ptr<Node>* out) const;
 

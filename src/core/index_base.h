@@ -39,10 +39,11 @@ class IndexBase {
   /// the whole batch — refinement advances at the same deterministic
   /// rate per batch as per query — and answer the unrefined portion of
   /// their data with one shared scan over all predicates
-  /// (exec::PredicateSet); refined data goes through the same per-query
-  /// lookup paths as Query. A batch of one is bit-identical to Query()
-  /// in results, index state, and cost prediction (test-enforced; see
-  /// docs/batching.md). After a batched call, last_predicted_cost() is
+  /// (exec::PredicateSet); refined data goes through per-query lookups.
+  /// Their Query(q) — and UpdatableIndex's — is QueryBatch(&q, 1, ...),
+  /// so a query is a batch of one by construction. Full scan keeps its
+  /// own Query: it is the oracle the batch paths are tested against
+  /// (docs/batching.md). After a batched call, last_predicted_cost() is
   /// the predicted *per-query* cost with shared-scan terms split across
   /// the batch.
   ///

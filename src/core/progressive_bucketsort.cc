@@ -225,43 +225,6 @@ size_t ProgressiveBucketsort::BuildWork(size_t units) {
   return std::max(used, size_t{1});
 }
 
-QueryResult ProgressiveBucketsort::AnswerBuild(const RangeQuery& q) const {
-  QueryResult result;
-  // Chain scans go block-by-block through the dispatched vector kernel.
-  if (phase() == Phase::kCreation) {
-    for (size_t b = 0; b < buckets_.size(); b++) {
-      if (Reaches(b, q)) result += buckets_[b].RangeSum(q);
-    }
-    result += PredicatedRangeSum(column_.data() + copy_pos_,
-                                 column_.size() - copy_pos_, q);
-    return result;
-  }
-  // Fully merged, sorted prefix.
-  result += SortedRangeSum(final_.data(), sorted_end_, q);
-  // Active bucket: either mid-fill or mid-sort.
-  if (merge_bucket_ < buckets_.size() && Reaches(merge_bucket_, q)) {
-    if (filling_) {
-      result += PredicatedRangeSum(final_.data() + sorted_end_,
-                                   fill_pos_ - sorted_end_, q);
-      result += buckets_[merge_bucket_].RangeSumFrom(fill_cursor_, q);
-    } else if (sorter_active_) {
-      scratch_ranges_.clear();
-      active_sorter_.CollectRanges(q, &scratch_ranges_);
-      const value_t* base = final_.data() + sorted_end_;
-      for (const ScanRange& r : scratch_ranges_) {
-        result += r.sorted
-                      ? SortedRangeSum(base + r.start, r.end - r.start, q)
-                      : PredicatedRangeSum(base + r.start, r.end - r.start, q);
-      }
-    }
-  }
-  // Pending buckets after the active one.
-  for (size_t b = merge_bucket_ + 1; b < buckets_.size(); b++) {
-    if (Reaches(b, q)) result += buckets_[b].RangeSum(q);
-  }
-  return result;
-}
-
 void ProgressiveBucketsort::SaveBody(persist::Writer* w) const {
   SaveDomain(w);
   w->WriteValueVector(boundaries_);
@@ -385,8 +348,7 @@ void ProgressiveBucketsort::AnswerBuildBatch(const RangeQuery* qs,
   // value range reaches. A chain outside a query's range holds no values
   // it can match (bucket values are bounded by [BucketLo, BucketHi]), and
   // a pivot-tree range a query did not collect holds none either, so the
-  // union scan adds exactly zero for those queries — totals stay
-  // bit-identical to the per-query pruned walks.
+  // union scan adds exactly zero for those queries.
   auto any_reaches = [&](size_t b) {
     for (size_t i = 0; i < count; i++) {
       if (Reaches(b, qs[i])) return true;

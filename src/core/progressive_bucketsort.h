@@ -50,7 +50,6 @@ class ProgressiveBucketsort : public ProgressiveIndex {
   size_t BuildWork(size_t units) override;
   /// Starts merging bucket `merge_bucket_` into its final_ segment.
   void BeginActiveBucket();
-  QueryResult AnswerBuild(const RangeQuery& q) const override;
   /// Per-query value-pruned bucket lookups (creation) or sorted-prefix
   /// lookups (refinement), plus one shared pass over the unrefined rest.
   void AnswerBuildBatch(const RangeQuery* qs, size_t count,

@@ -118,10 +118,6 @@ void ProgressiveIndex::DoWorkSecs(double secs) {
   }
 }
 
-QueryResult ProgressiveIndex::Answer(const RangeQuery& q) const {
-  return building() ? AnswerBuild(q) : btree_.RangeSum(q);
-}
-
 size_t ProgressiveIndex::AnswerBatch(const RangeQuery* qs, size_t count,
                                      QueryResult* out) const {
   std::fill(out, out + count, QueryResult{});
@@ -153,20 +149,8 @@ double ProgressiveIndex::ConvergenceFraction() const {
 }
 
 QueryResult ProgressiveIndex::Query(const RangeQuery& q) {
-  if (column_.empty()) return {};
-  const int phase_at_start = phase_;
-  obs::QueryTimer qt;
-  {
-    obs::TraceScope span("refine", telemetry_.category());
-    PrepareQuery(q);
-  }
   QueryResult r;
-  {
-    obs::TraceScope span("shared_scan", telemetry_.category());
-    r = Answer(q);
-  }
-  telemetry_.RecordResidual(PhaseName(phase_at_start), predicted_,
-                            static_cast<double>(qt.ElapsedNs()) * 1e-9);
+  QueryBatch(&q, 1, &r);
   return r;
 }
 
@@ -179,8 +163,8 @@ void ProgressiveIndex::QueryBatch(const RangeQuery* qs, size_t count,
   }
   const int phase_at_start = phase_;
   obs::QueryTimer qt;
-  // One per-batch indexing budget, hinted by the batch head — the exact
-  // Query() prologue, so a batch of one leaves bit-identical state.
+  // One per-batch indexing budget, hinted by the batch head: a batch
+  // advances refinement exactly as its head alone would.
   {
     obs::TraceScope span("refine", telemetry_.category());
     PrepareQuery(qs[0]);
@@ -236,12 +220,14 @@ bool ProgressiveIndex::LoadState(persist::Reader* r) {
   phase_ = static_cast<int>(phase);
   if (!LoadBody(r)) return false;
   if (!building()) {
-    if (!btree_.LoadState(r, SortedArray()) ||
-        btree_.leaf_count() != column_.size()) {
-      return false;
-    }
+    // The tree and build position this index's consolidation reaches
+    // over the reloaded sorted array, and no other.
+    btree_ = BPlusTree(SortedArray(), column_.size(), options_.btree_fanout);
+    if (!btree_.LoadState(r)) return false;
     builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
     if (!builder_->LoadState(r)) return false;
+    // Consolidation ends only when the tree is complete.
+    if (converged() && !btree_.complete()) return false;
   }
   return r->ok();
 }

@@ -37,15 +37,17 @@ struct ProgressiveOptions {
 ///
 /// The driver owns everything that scheme has in common: the budget→δ
 /// prologue, the consolidation and done phases (their work, pricing and
-/// answers), Query/QueryBatch with their trace spans, residuals and
-/// batch re-pricing, and the snapshot framing. A strategy (the derived
-/// index) supplies only its build phases: their work, their answer
-/// paths, their cost terms, and its part of the snapshot.
+/// answers), QueryBatch with its trace spans, residuals and batch
+/// re-pricing, and the snapshot framing. Query is a batch of one. A
+/// strategy (the derived index) supplies only its build phases: their
+/// work, their batch answer, their cost terms, and its part of the
+/// snapshot.
 ///
 /// Phases are numbered as the strategy's `Phase` enum: its build phases
 /// first (0 = creation), then consolidation, then done.
 class ProgressiveIndex : public IndexBase {
  public:
+  /// QueryBatch(&q, 1, ...): one answer path for both entry points.
   QueryResult Query(const RangeQuery& q) override;
   void QueryBatch(const RangeQuery* qs, size_t count,
                   QueryResult* out) override;
@@ -112,13 +114,14 @@ class ProgressiveIndex : public IndexBase {
   /// Builds the B+-tree over SortedArray() and starts consolidating it.
   void EnterConsolidation();
 
-  /// The whole Query() prologue for budget query `q`: budget→δ, cost
-  /// prediction, and δ·op_secs of indexing work. Shared by Query and
-  /// QueryBatch (which hints with its head query), so a batch's state
-  /// trajectory is the single query's by construction.
+  /// The query prologue for budget query `q` (a batch's head):
+  /// budget→δ, cost prediction, and δ·op_secs of indexing work.
   void PrepareQuery(const RangeQuery& q);
-  /// Answer against the current state (build or tree phases).
-  QueryResult Answer(const RangeQuery& q) const;
+  /// Answers the batch against the current state, overwriting out[0,
+  /// count); returns the leaves read on the tree path (0 while
+  /// building).
+  size_t AnswerBatch(const RangeQuery* qs, size_t count,
+                     QueryResult* out) const;
   /// Fraction of the domain a query selects (cheap selectivity proxy).
   double SelectivityEstimate(const RangeQuery& q) const;
 
@@ -142,10 +145,10 @@ class ProgressiveIndex : public IndexBase {
   /// returns the units to charge, at least 1. A step may end the phase
   /// or enter consolidation.
   virtual size_t BuildWork(size_t units) = 0;
-  virtual QueryResult AnswerBuild(const RangeQuery& q) const = 0;
   /// Adds the batch's answers into out[0, count), which the driver has
   /// zero-filled: per-query lookups plus one exec::PredicateSet pass
-  /// over the unrefined regions.
+  /// over the unrefined regions. A region no query reaches is skipped;
+  /// one some query cannot reach adds zero to that query's totals.
   virtual void AnswerBuildBatch(const RangeQuery* qs, size_t count,
                                 QueryResult* out) const = 0;
   /// Progress through the build phases, in [0, 0.9].
@@ -180,10 +183,6 @@ class ProgressiveIndex : public IndexBase {
   /// Performs `secs` worth of indexing work, cascading across phase
   /// transitions.
   void DoWorkSecs(double secs);
-  /// Answers the batch against the current state; returns the leaves
-  /// read on the tree path (0 while building).
-  size_t AnswerBatch(const RangeQuery* qs, size_t count,
-                     QueryResult* out) const;
 
   const int build_phases_;
   int phase_ = 0;
@@ -192,7 +191,7 @@ class ProgressiveIndex : public IndexBase {
   double predicted_ = 0;
   Prediction pred_;
   /// Residual + span telemetry (docs/observability.md); written only by
-  /// the Query/QueryBatch thread, never consulted for decisions.
+  /// the QueryBatch thread, never consulted for decisions.
   obs::IndexTelemetry telemetry_;
 };
 

@@ -139,44 +139,30 @@ size_t ProgressiveQuicksort::BuildWork(size_t units) {
   return elems;
 }
 
-QueryResult ProgressiveQuicksort::FringeSum(const RangeQuery& q) const {
+void ProgressiveQuicksort::ScanFringes(const RangeQuery* qs,
+                                       size_t count) const {
+  // The bottom fringe holds values below the pivot, the top one the
+  // rest: a fringe no query reaches adds zero and is skipped.
+  bool low = false;
+  bool high = false;
+  for (size_t i = 0; i < count; i++) {
+    low = low || qs[i].low < pivot_;
+    high = high || qs[i].high >= pivot_;
+  }
   const size_t n = column_.size();
-  QueryResult result;
-  if (q.low < pivot_ && low_pos_ > 0) {
-    result += PredicatedRangeSum(index_.data(), low_pos_, q);
-  }
-  if (q.high >= pivot_ && high_pos_ + 1 < static_cast<int64_t>(n)) {
+  if (low && low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
+  if (high && high_pos_ + 1 < static_cast<int64_t>(n)) {
     const size_t start = static_cast<size_t>(high_pos_ + 1);
-    result += PredicatedRangeSum(index_.data() + start, n - start, q);
+    pset_.Scan(index_.data() + start, n - start);
   }
-  return result;
-}
-
-QueryResult ProgressiveQuicksort::AnswerBuild(const RangeQuery& q) const {
-  if (phase() == Phase::kCreation) {
-    // Indexed fringes of the index array, plus the not-yet-copied tail
-    // of the base column.
-    const size_t n = column_.size();
-    QueryResult result = FringeSum(q);
-    result += PredicatedRangeSum(column_.data() + copy_pos_, n - copy_pos_, q);
-    return result;
-  }
-  QueryResult result;
-  scratch_ranges_.clear();
-  sorter_.CollectRanges(q, &scratch_ranges_);
-  for (const ScanRange& r : scratch_ranges_) {
-    result += r.sorted
-                  ? SortedRangeSum(index_.data() + r.start, r.end - r.start, q)
-                  : PredicatedRangeSum(index_.data() + r.start,
-                                       r.end - r.start, q);
-  }
-  return result;
 }
 
 double ProgressiveQuicksort::BuildConvergenceFraction() const {
-  if (phase() == Phase::kRefinement) return 0.6;
-  return 0.5 * static_cast<double>(copy_pos_) /
-         static_cast<double>(column_.size());
+  const double n = static_cast<double>(column_.size());
+  if (phase() == Phase::kRefinement) {
+    return 0.5 + 0.4 * static_cast<double>(sorter_.SortedElements()) / n;
+  }
+  return 0.5 * static_cast<double>(copy_pos_) / n;
 }
 
 void ProgressiveQuicksort::AnswerBuildBatch(const RangeQuery* qs,
@@ -184,17 +170,10 @@ void ProgressiveQuicksort::AnswerBuildBatch(const RangeQuery* qs,
                                             QueryResult* out) const {
   const size_t n = column_.size();
   if (phase() == Phase::kCreation) {
-    // One shared pass each over the partitioned fringes and the
-    // not-yet-copied tail. The fringes are scanned for every query (the
-    // single-query path prunes them against the pivot, but a pruned
-    // fringe contributes zero matches, so totals are identical — and
-    // under a batch someone usually needs them).
+    // One shared pass each over the reached fringes and the
+    // not-yet-copied tail.
     pset_.Reset(qs, count);
-    if (low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
-    if (high_pos_ + 1 < static_cast<int64_t>(n)) {
-      const size_t start = static_cast<size_t>(high_pos_ + 1);
-      pset_.Scan(index_.data() + start, n - start);
-    }
+    ScanFringes(qs, count);
     pset_.Scan(column_.data() + copy_pos_, n - copy_pos_);
     pset_.AccumulateInto(out);
     return;
@@ -272,14 +251,18 @@ ApproximateResult ProgressiveQuicksort::QueryApproximate(const RangeQuery& q,
   if (phase() != Phase::kCreation) {
     // Refinement onwards: every element is in the index, so the exact
     // answer is already cheap.
-    const QueryResult exact = Answer(q);
+    QueryResult exact;
+    AnswerBatch(&q, 1, &exact);
     result.sum = static_cast<double>(exact.sum);
     result.count = static_cast<double>(exact.count);
     result.exact = true;
     return result;
   }
   // Creation phase: exact over the indexed fringes...
-  const QueryResult indexed = FringeSum(q);
+  QueryResult indexed;
+  pset_.Reset(&q, 1);
+  ScanFringes(&q, 1);
+  pset_.AccumulateInto(&indexed);
   result.sum = static_cast<double>(indexed.sum);
   result.count = static_cast<double>(indexed.count);
   // ...plus a Horvitz-Thompson estimate of the unindexed remainder from

@@ -59,7 +59,6 @@ class ProgressiveQuicksort : public ProgressiveIndex {
   Prediction PredictBuild(const RangeQuery& q, double answer_est,
                           double delta) const override;
   size_t BuildWork(size_t units) override;
-  QueryResult AnswerBuild(const RangeQuery& q) const override;
   void AnswerBuildBatch(const RangeQuery* qs, size_t count,
                         QueryResult* out) const override;
   double BuildConvergenceFraction() const override;
@@ -68,8 +67,9 @@ class ProgressiveQuicksort : public ProgressiveIndex {
   void SaveBody(persist::Writer* w) const override;
   bool LoadBody(persist::Reader* r) override;
   const value_t* SortedArray() const override { return index_.data(); }
-  /// Creation phase: `q` over the two partitioned fringes of index_.
-  QueryResult FringeSum(const RangeQuery& q) const;
+  /// Creation phase: scans into pset_ the partitioned fringes of
+  /// index_ that any of qs[0, count) reaches.
+  void ScanFringes(const RangeQuery* qs, size_t count) const;
 
   std::vector<value_t> index_;
   value_t pivot_ = 0;

@@ -58,15 +58,6 @@ double ProgressiveRadixsortLSD::BuildOpSecs() const {
   return model_.BucketAppendSecs();
 }
 
-QueryResult ProgressiveRadixsortLSD::RangeSumRemainingSource(
-    size_t bucket, const RangeQuery& q) const {
-  if (bucket < drain_bucket_) return {};  // already fully drained
-  if (bucket == drain_bucket_) {
-    return source_[bucket].RangeSumFrom(drain_cursor_, q);
-  }
-  return source_[bucket].RangeSum(q);
-}
-
 void ProgressiveRadixsortLSD::CollectRemainingSource(size_t bucket) const {
   exec::CollectChainRuns(
       source_[bucket],
@@ -231,45 +222,6 @@ size_t ProgressiveRadixsortLSD::BuildWork(size_t units) {
   return std::max(moved, size_t{1});
 }
 
-QueryResult ProgressiveRadixsortLSD::AnswerBuild(const RangeQuery& q) const {
-  QueryResult result;
-  // Chain scans go block-by-block through the dispatched vector kernel.
-  switch (phase()) {
-    case Phase::kCreation: {
-      const uint64_t candidates = CandidateMask(q, 0);
-      if (candidates == kAllBuckets) {
-        // α == ρ fallback: the copied prefix of the base column is
-        // cheaper to scan than all 64 bucket chains.
-        result += PredicatedRangeSum(column_.data(), copy_pos_, q);
-      } else {
-        for (size_t b = 0; b < 64; b++) {
-          if (Has(candidates, b)) result += source_[b].RangeSum(q);
-        }
-      }
-      result += PredicatedRangeSum(column_.data() + copy_pos_,
-                                   column_.size() - copy_pos_, q);
-      return result;
-    }
-    case Phase::kRefinement: {
-      const uint64_t old_mask = CandidateMask(q, pass_ - 1);
-      const uint64_t new_mask = CandidateMask(q, pass_);
-      for (size_t b = 0; b < 64; b++) {
-        if (Has(old_mask, b)) result += RangeSumRemainingSource(b, q);
-        if (Has(new_mask, b)) result += dest_[b].RangeSum(q);
-      }
-      return result;
-    }
-    default: {  // merge
-      result += SortedRangeSum(final_.data(), merged_, q);
-      const uint64_t mask = CandidateMask(q, total_passes_ - 1);
-      for (size_t b = drain_bucket_; b < 64; b++) {
-        if (Has(mask, b)) result += RangeSumRemainingSource(b, q);
-      }
-      return result;
-    }
-  }
-}
-
 double ProgressiveRadixsortLSD::BuildConvergenceFraction() const {
   const double n = static_cast<double>(column_.size());
   switch (phase()) {
@@ -294,8 +246,7 @@ void ProgressiveRadixsortLSD::AnswerBuildBatch(const RangeQuery* qs,
     // union of every member's candidate buckets. A chain outside a
     // query's candidate range cannot hold values in its [low, high] (the
     // digit-clustering invariant CandidateMask prunes by), so the union
-    // scan adds exactly zero for that query and totals stay
-    // bit-identical to the per-query pruned walks.
+    // scan adds exactly zero for that query.
     uint64_t old_mask = 0;
     uint64_t new_mask = 0;
     for (size_t i = 0; i < count; i++) {

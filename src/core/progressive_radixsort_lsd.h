@@ -48,7 +48,6 @@ class ProgressiveRadixsortLSD : public ProgressiveIndex {
   /// copied to final_ while merging — freeing each drained bucket.
   /// Returns the elements moved.
   size_t Drain(size_t budget);
-  QueryResult AnswerBuild(const RangeQuery& q) const override;
   /// Creation: per-query pruned chain lookups plus shared passes over
   /// the base column; refinement and merge: one shared pass over the
   /// union of every query's candidate chains.
@@ -61,10 +60,6 @@ class ProgressiveRadixsortLSD : public ProgressiveIndex {
   void SaveBody(persist::Writer* w) const override;
   bool LoadBody(persist::Reader* r) override;
   const value_t* SortedArray() const override { return final_.data(); }
-  /// RangeSum over the elements still in `source_[bucket]` at or after
-  /// the drain cursor.
-  QueryResult RangeSumRemainingSource(size_t bucket,
-                                      const RangeQuery& q) const;
   /// Appends source_[bucket]'s undrained block runs onto scratch_runs_.
   void CollectRemainingSource(size_t bucket) const;
 

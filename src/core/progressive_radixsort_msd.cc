@@ -242,43 +242,6 @@ size_t ProgressiveRadixsortMSD::BuildWork(size_t units) {
   return elems;
 }
 
-QueryResult ProgressiveRadixsortMSD::AnswerBuild(const RangeQuery& q) const {
-  QueryResult result;
-  // Chain scans go block-by-block through the dispatched vector kernel.
-  if (phase() == Phase::kCreation) {
-    if (q.high >= min_ && q.low <= max_) {
-      const size_t b_lo = RootBucketOf(std::max(q.low, min_));
-      const size_t b_hi = RootBucketOf(std::min(q.high, max_));
-      for (size_t b = b_lo; b <= b_hi; b++) {
-        result += root_buckets_[b].RangeSum(q);
-      }
-    }
-    result += PredicatedRangeSum(column_.data() + copy_pos_,
-                                 column_.size() - copy_pos_, q);
-    return result;
-  }
-  // Sorted, merged prefix of the final array...
-  result += SortedRangeSum(final_.data(), merged_, q);
-  // ...plus every pending bucket whose value range intersects.
-  for (const PendingBucket& p : pending_) {
-    if (p.hi_value < q.low || p.lo_value > q.high) continue;
-    if (!p.splitting) {
-      result += p.chain.RangeSum(q);
-      continue;
-    }
-    // Remaining source elements (not yet moved by a split)...
-    result += p.chain.RangeSumFrom(p.cursor, q);
-    // ...and the children already populated by the split.
-    const int child_shift = ChildShift(p.shift);
-    for (size_t i = 0; i < p.children.size(); i++) {
-      const value_t c_lo = SliceLo(p.lo_value, i, child_shift);
-      if (SliceHi(c_lo, child_shift) < q.low || c_lo > q.high) continue;
-      result += p.children[i].RangeSum(q);
-    }
-  }
-  return result;
-}
-
 double ProgressiveRadixsortMSD::BuildConvergenceFraction() const {
   const double n = static_cast<double>(column_.size());
   if (phase() == Phase::kCreation) {
@@ -310,9 +273,8 @@ void ProgressiveRadixsortMSD::AnswerBuildBatch(const RangeQuery* qs,
   // Sorted merged prefix per query; every pending bucket (and split
   // child) whose value range any batch member reaches scans once for the
   // whole batch. Pending buckets are value-bounded ([lo_value,
-  // hi_value]), so the union scan adds exactly zero for queries the
-  // per-query path would have pruned — totals stay bit-identical to the
-  // per-query walks.
+  // hi_value]), so the union scan adds exactly zero for a query outside
+  // a bucket's range.
   for (size_t i = 0; i < count; i++) {
     out[i] += SortedRangeSum(final_.data(), merged_, qs[i]);
   }

@@ -61,7 +61,6 @@ class ProgressiveRadixsortMSD : public ProgressiveIndex {
   /// One unit of refinement work on the front pending bucket; returns
   /// elements processed.
   size_t RefineFront(size_t budget);
-  QueryResult AnswerBuild(const RangeQuery& q) const override;
   /// Creation: per-query pruned root-bucket lookups plus one shared pass
   /// over the unbucketed remainder; refinement: one shared pass over
   /// every pending chain any query reaches.

@@ -134,21 +134,14 @@ void UpdatableIndex::AdjustForDelta(const RangeQuery& q,
 }
 
 QueryResult UpdatableIndex::Query(const RangeQuery& q) {
-  const size_t merge_elems = AdvanceMaintenance();
-  QueryResult result = inner_->Query(q);
-  AdjustForDelta(q, &result);
-  PredictCost(1, merge_elems);
-  return result;
+  QueryResult r;
+  QueryBatch(&q, 1, &r);
+  return r;
 }
 
 void UpdatableIndex::QueryBatch(const RangeQuery* qs, size_t count,
                                 QueryResult* out) {
   if (count == 0) return;
-  if (count == 1) {
-    // Delegation is the batch-of-1 ≡ Query() contract, bit for bit.
-    out[0] = Query(qs[0]);
-    return;
-  }
   const size_t merge_elems = AdvanceMaintenance();
   inner_->QueryBatch(qs, count, out);
   parallel::SrcRun runs[2];

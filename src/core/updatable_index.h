@@ -34,11 +34,11 @@ namespace progidx {
 ///
 /// Determinism contract (test-enforced by tests/update_property_test):
 /// answers and the full serialized state are bit-identical across
-/// PROGIDX_THREADS ∈ {1, 2, 4} and for a batch of one vs Query(), at
-/// every step of any Append/Delete/Query/QueryBatch interleaving. The
-/// merge slice per query is a fixed fraction of the merge (never a
-/// function of measured machine constants or lane count), so replay in
-/// a fresh process walks the same trajectory.
+/// PROGIDX_THREADS ∈ {1, 2, 4} at every step of any
+/// Append/Delete/Query/QueryBatch interleaving (Query is a batch of
+/// one). The merge slice per query is a fixed fraction of the merge
+/// (never a function of measured machine constants or lane count), so
+/// replay in a fresh process walks the same trajectory.
 class UpdatableIndex : public IndexBase {
  public:
   /// `factory` builds the inner index over a column (e.g. a lambda
@@ -66,6 +66,7 @@ class UpdatableIndex : public IndexBase {
   /// tombstone is merged. Visible (subtracted) immediately.
   void Delete(value_t v);
 
+  /// QueryBatch(&q, 1, ...).
   QueryResult Query(const RangeQuery& q) override;
   /// One shared exec::PredicateSet pass over the delta runs (frozen +
   /// live appends, then tombstones) serves the whole batch, and the
@@ -142,7 +143,7 @@ class UpdatableIndex : public IndexBase {
   /// Consumes one unused tombstone equal to `v`, if any.
   bool ConsumeTombstone(value_t v);
   /// Adds live+frozen appends and subtracts tombstones for `q` via
-  /// const serial scans (Query, TryReadOnlyQuery, ReadOnlyScan).
+  /// const serial scans (TryReadOnlyQuery, ReadOnlyScan).
   void AdjustForDelta(const RangeQuery& q, QueryResult* r) const;
   /// Updates predicted_ after a query/batch: inner prediction plus the
   /// delta-scan and merge-slice terms (cost/cost_model.h), shared-scan

@@ -10,11 +10,10 @@ namespace progidx {
 Metrics RunWorkload(IndexBase* index, const std::vector<RangeQuery>& queries,
                     IndexBase* oracle) {
   // PROGIDX_BATCH=N groups the stream into batches of N concurrent
-  // queries through the shared-scan batch path (exec::BatchExecutor
-  // semantics); the default N=1 is the classic one-query-at-a-time
-  // loop. Per-query records are still emitted: a batch's wall time is
-  // split evenly across its queries, and prediction/convergence are
-  // the post-batch values.
+  // queries through IndexBase::QueryBatch; the default N=1 is the
+  // classic one-query-at-a-time loop. Per-query records are still
+  // emitted: a batch's wall time is split evenly across its queries,
+  // and prediction/convergence are the post-batch values.
   const size_t batch_size = exec::BatchSizeFromEnv();
   std::vector<QueryRecord> records;
   records.reserve(queries.size());

@@ -10,14 +10,5 @@ size_t BatchSizeFromEnv() {
                                  "batch size", "running unbatched");
 }
 
-std::vector<QueryResult> BatchExecutor::Execute(
-    const std::vector<RangeQuery>& queries) {
-  std::vector<QueryResult> results(queries.size());
-  if (!queries.empty()) {
-    index_->QueryBatch(queries.data(), queries.size(), results.data());
-  }
-  return results;
-}
-
 }  // namespace exec
 }  // namespace progidx

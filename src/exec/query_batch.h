@@ -2,17 +2,13 @@
 #define PROGIDX_EXEC_QUERY_BATCH_H_
 
 #include <cstddef>
-#include <vector>
-
-#include "common/types.h"
-#include "core/index_base.h"
 
 namespace progidx {
 namespace exec {
 
-/// Upper bound on PROGIDX_BATCH / Execute() batch sizes. Far above the
-/// point where the interval index stops paying for itself; a bound so
-/// the env-var parse can reject garbage.
+/// Upper bound on PROGIDX_BATCH and served epoch batch sizes. Far above
+/// the point where the interval index stops paying for itself; a bound
+/// so the env-var parse can reject garbage.
 constexpr size_t kMaxBatchSize = 4096;
 
 /// PROGIDX_BATCH=N (1 <= N <= kMaxBatchSize): how many in-flight
@@ -21,34 +17,6 @@ constexpr size_t kMaxBatchSize = 4096;
 /// warn once on stderr and fall back to 1 (the same warn-once contract
 /// as PROGIDX_FORCE_KERNEL / PROGIDX_THREADS).
 size_t BatchSizeFromEnv();
-
-/// Drives an index with batches of concurrent range queries.
-///
-/// Each Execute() call answers all queries against one consistent index
-/// state: the index performs a *single* per-query indexing budget for
-/// the whole batch (progressive refinement advances at the same
-/// deterministic rate per batch as it would per query), scans its
-/// unrefined data once for all predicates through exec::PredicateSet,
-/// and routes refined data through its existing per-query lookup paths.
-/// A batch of one is bit-identical to IndexBase::Query — results,
-/// index state, and cost prediction (test-enforced for every index).
-class BatchExecutor {
- public:
-  explicit BatchExecutor(IndexBase* index) : index_(index) {}
-
-  /// Answers queries[0, size()) in one shared pass. Results line up
-  /// with the input order.
-  std::vector<QueryResult> Execute(const std::vector<RangeQuery>& queries);
-
-  /// Per-query predicted cost of the last Execute() (the index's cost
-  /// model with its shared-scan terms split across the batch).
-  double last_predicted_cost_per_query() const {
-    return index_->last_predicted_cost();
-  }
-
- private:
-  IndexBase* index_;
-};
 
 }  // namespace exec
 }  // namespace progidx

@@ -66,8 +66,8 @@ inline void CollectChainRuns(const BucketChain& chain,
 /// Determinism: accumulators are exact 64-bit integers, so any scan
 /// order (including the chunked parallel split) produces bit-identical
 /// totals. With a single predicate, Scan degenerates to the dispatched
-/// PredicatedRangeSum kernel, which makes a batch of one bit-identical
-/// to — and exactly as fast as — the single-query scan paths.
+/// PredicatedRangeSum kernel, so a single query — a batch of one —
+/// scans at the plain kernel's speed.
 class PredicateSet {
  public:
   PredicateSet() = default;

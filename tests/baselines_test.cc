@@ -80,6 +80,20 @@ TEST(StandardCrackingTest, QueriesNarrowTheScannedPiece) {
   EXPECT_EQ(static_cast<int64_t>(piece.end - piece.start), result.count);
 }
 
+TEST(StandardCrackingTest, ReversedRangeAnswersZero) {
+  const Column column = MakeUniformColumn(kN, 65);
+  StandardCracking index(column);
+  FullScan oracle(column);
+  // On a fresh column both bounds fall into the one piece: the crack
+  // runs on the sorted bounds, and nothing lies in [10, 5].
+  const QueryResult reversed = index.Query({10, 5});
+  EXPECT_EQ(reversed.sum, 0);
+  EXPECT_EQ(reversed.count, 0);
+  ExpectCrackerInvariant(index.cracker());
+  ExpectPermutation(index.cracker(), column);
+  EXPECT_EQ(index.Query({5, 10}), oracle.Query({5, 10}));
+}
+
 TEST(StochasticCrackingTest, InvariantsAndCorrectness) {
   const Column column = MakeSkewedColumn(kN, 64);
   StochasticCracking index(column);

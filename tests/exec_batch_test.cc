@@ -526,11 +526,11 @@ TEST(BatchExecutionTest, BatchedAnswersEqualSequentialAnswers) {
     expected.reserve(qs.size());
     for (const RangeQuery& q : qs) expected.push_back(sequential->Query(q));
     auto batched = MakeIndex(id, col_bat, budget);
-    exec::BatchExecutor executor(batched.get());
     for (size_t start = 0; start < qs.size(); start += 8) {
       const std::vector<RangeQuery> slice(qs.begin() + start,
                                           qs.begin() + start + 8);
-      const std::vector<QueryResult> got = executor.Execute(slice);
+      std::vector<QueryResult> got(slice.size());
+      batched->QueryBatch(slice.data(), slice.size(), got.data());
       for (size_t i = 0; i < slice.size(); i++) {
         // Different index states (one budget per batch vs per query),
         // but every answer is exact, so sums and counts must agree.

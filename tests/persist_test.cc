@@ -416,6 +416,24 @@ size_t PbMergeBucketOffset(const std::string& s, size_t n) {
   return offset;
 }
 
+/// Offset of the B+-tree tail of a consolidation or done payload: n,
+/// fanout (64), complete, level count and the count-prefixed levels,
+/// followed only by the builder's cursor and keys remaining. npos when
+/// the payload has none.
+size_t TreeOffset(const std::string& s, size_t n) {
+  for (size_t o = 8; o + 48 <= s.size(); o += 8) {
+    if (GetU64(s, o) != n || GetU64(s, o + 8) != 64) continue;
+    size_t p = o + 32;
+    uint64_t levels = GetU64(s, o + 24);
+    while (levels > 0 && p + 8 <= s.size() && GetU64(s, p) < s.size()) {
+      p += 8 + 8 * GetU64(s, p);
+      levels--;
+    }
+    if (levels == 0 && p + 16 == s.size()) return o;
+  }
+  return std::string::npos;
+}
+
 /// One field of a real, CRC-valid payload rewritten to contradict what
 /// the constructor derives from the same column and options, or what
 /// the rest of the payload says. Offsets follow each index's SaveBody
@@ -425,9 +443,31 @@ size_t PbMergeBucketOffset(const std::string& s, size_t n) {
 struct GeometryMutation {
   const char* name;
   const char* algo;
-  uint64_t phase;  ///< phase word of the payload (0 creation, 1 refinement)
+  uint64_t phase;  ///< phase word of the payload (the index's Phase enum)
   bool (*patch)(std::string* payload, size_t n);
+  /// Build on FixedConstants() rather than this process's calibration,
+  /// for a phase that some calibrations finish within one query.
+  bool fixed_constants = false;
 };
+
+/// Fixed machine constants: the phase trajectory, and so the payloads a
+/// workload passes through, is the same on every host. Under them pq's
+/// consolidation spans several queries at δ = 0.25.
+const MachineConstants& FixedConstants() {
+  static const MachineConstants machine = [] {
+    MachineConstants m;
+    m.seq_read_secs = 1e-9;
+    m.seq_write_secs = 2e-9;
+    m.random_access_secs = 5e-8;
+    m.swap_secs = 3e-9;
+    m.alloc_secs = 1e-7;
+    m.bucket_scan_secs = 2e-9;
+    m.bucket_append_secs = 3e-9;
+    m.batch_lookup_secs = 4e-10;
+    return m;
+  }();
+  return machine;
+}
 
 const GeometryMutation kGeometryMutations[] = {
     // pq: index_ (count + n values), pivot_, copy_pos_, low_pos_,
@@ -542,6 +582,91 @@ const GeometryMutation kGeometryMutations[] = {
        PutU64(s, merge_bucket + 16, n);
        return true;
      }},
+    // The B+-tree tail every index shares, taken from converged
+    // payloads (phase 3 is done for pq and pmsd, 4 for plsd), which
+    // these three reach within the workload whatever the calibrated
+    // constants. A fanout other than the options', or levels other than
+    // the build copies from the sorted array, would descend windows
+    // that do not match the level below — a root key too many sends
+    // LowerBound's window past it; a cursor or remaining count off the
+    // levels would resume the build elsewhere.
+    {"pq_btree_fanout", "pq", 3,
+     [](std::string* s, size_t n) {
+       const size_t tree = TreeOffset(*s, n);
+       if (tree == std::string::npos) return false;
+       PutU64(s, tree + 8, 32);
+       return true;
+     }},
+    {"pmsd_btree_level_size", "pmsd", 3,
+     [](std::string* s, size_t n) {
+       const size_t tree = TreeOffset(*s, n);
+       if (tree == std::string::npos || GetU64(*s, tree + 24) == 0) {
+         return false;
+       }
+       // Repeat the root level's last key.
+       size_t root = tree + 32;
+       for (uint64_t l = GetU64(*s, tree + 24); l > 1; l--) {
+         root += 8 + 8 * GetU64(*s, root);
+       }
+       const size_t keys = GetU64(*s, root);
+       if (keys == 0) return false;
+       s->insert(root + 8 + 8 * keys, s->substr(root + 8 * keys, 8));
+       PutU64(s, root, keys + 1);
+       return true;
+     }},
+    {"plsd_btree_key", "plsd", 4,
+     [](std::string* s, size_t n) {
+       const size_t tree = TreeOffset(*s, n);
+       if (tree == std::string::npos || GetU64(*s, tree + 24) == 0 ||
+           GetU64(*s, tree + 32) == 0) {
+         return false;
+       }
+       PutU64(s, tree + 40, GetU64(*s, tree + 40) - 1);
+       return true;
+     }},
+    {"pq_btree_complete", "pq", 3,
+     [](std::string* s, size_t n) {
+       const size_t tree = TreeOffset(*s, n);
+       if (tree == std::string::npos || GetU64(*s, tree + 16) != 1) {
+         return false;
+       }
+       PutU64(s, tree + 16, 0);
+       return true;
+     }},
+    {"pmsd_builder_cursor", "pmsd", 3,
+     [](std::string* s, size_t n) {
+       if (TreeOffset(*s, n) == std::string::npos) return false;
+       PutU64(s, s->size() - 16, GetU64(*s, s->size() - 16) + 64);
+       return true;
+     }},
+    {"plsd_builder_remaining", "plsd", 4,
+     [](std::string* s, size_t n) {
+       if (TreeOffset(*s, n) == std::string::npos) return false;
+       PutU64(s, s->size() - 8, GetU64(*s, s->size() - 8) + 1);
+       return true;
+     }},
+    // pq's consolidation payloads (phase 2), on fixed constants. The
+    // done body is the consolidation body, so a consolidation payload
+    // relabeled done would report convergence over a partial tree that
+    // no later query completes; a cursor off the levels would resume
+    // the copy at the wrong key.
+    {"pq_done_over_partial_tree", "pq", 2,
+     [](std::string* s, size_t n) {
+       const size_t tree = TreeOffset(*s, n);
+       if (tree == std::string::npos || GetU64(*s, tree + 16) != 0) {
+         return false;
+       }
+       PutU64(s, 0, 3);
+       return true;
+     },
+     true},
+    {"pq_consolidation_builder_cursor", "pq", 2,
+     [](std::string* s, size_t n) {
+       if (TreeOffset(*s, n) == std::string::npos) return false;
+       PutU64(s, s->size() - 16, GetU64(*s, s->size() - 16) + 64);
+       return true;
+     },
+     true},
 };
 
 class PersistGeometryTest
@@ -554,7 +679,9 @@ TEST_P(PersistGeometryTest, RejectsPayloadContradictingConstructor) {
       WorkloadPattern::kRandom, column.min_value(), column.max_value(), 60,
       0.1, 73);
   const BudgetSpec budget = BudgetSpec::FixedDelta(0.25);
-  auto index = MakeIndex(m.algo, column, budget);
+  ProgressiveOptions options;
+  if (m.fixed_constants) options.machine = &FixedConstants();
+  auto index = MakeIndex(m.algo, column, budget, options);
   std::string saved;
   std::string patched;
   for (size_t i = 0; i < workload.size(); i++) {
@@ -568,12 +695,12 @@ TEST_P(PersistGeometryTest, RejectsPayloadContradictingConstructor) {
   }
   ASSERT_EQ(GetU64(saved, 0), m.phase) << "no payload to patch";
   {
-    auto reloaded = MakeIndex(m.algo, column, budget);
+    auto reloaded = MakeIndex(m.algo, column, budget, options);
     persist::Reader r = persist::Reader::FromPayload(saved);
     ASSERT_TRUE(reloaded->LoadState(&r)) << "the unpatched payload loads";
   }
   ASSERT_NE(patched, saved);
-  auto reloaded = MakeIndex(m.algo, column, budget);
+  auto reloaded = MakeIndex(m.algo, column, budget, options);
   persist::Reader r = persist::Reader::FromPayload(patched);
   EXPECT_FALSE(reloaded->LoadState(&r)) << m.name;
 }

@@ -203,6 +203,33 @@ INSTANTIATE_TEST_SUITE_P(AllProgressive, ProgressiveConvergenceTest,
                            return i.param;
                          });
 
+// Quicksort's refinement fraction follows the pivot tree's sorted
+// share, 0.5 + 0.4 · sorted / n: it moves within the phase, never
+// falls, and stays below consolidation's 0.9.
+TEST(QuicksortConvergenceTest, RefinementFractionFollowsSortedShare) {
+  const Column column = MakeUniformColumn(20000, 5);
+  ProgressiveQuicksort index(column, BudgetSpec::FixedDelta(0.02));
+  Rng rng(9);
+  double first = -1;
+  double last = -1;
+  int rises = 0;
+  for (int i = 0; i < 100000 && !index.converged(); i++) {
+    const value_t low = static_cast<value_t>(rng.NextBounded(18000));
+    index.Query({low, low + 2000});
+    if (index.phase() != ProgressiveQuicksort::Phase::kRefinement) continue;
+    const double fraction = index.ConvergenceFraction();
+    EXPECT_GE(fraction, 0.5);
+    EXPECT_LT(fraction, 0.9);
+    if (first < 0) first = fraction;
+    EXPECT_GE(fraction, last) << "at query " << i;
+    if (last >= 0 && fraction > last) rises++;
+    last = fraction;
+  }
+  ASSERT_TRUE(index.converged());
+  EXPECT_GT(last, first) << "the refinement fraction stayed flat";
+  EXPECT_GT(rises, 1);
+}
+
 // A converged batch reads the union of its queries' leaf runs once, so
 // each query is priced (index_secs + union · seq_read_secs) / B plus its
 // own descent: 16 disjoint ranges share nothing, 16 copies of one range
