@@ -38,7 +38,12 @@ bool FullIndex::LoadState(persist::Reader* r) {
   if (!r->ok()) return false;
   if (!built_) return true;
   const size_t n = column_.size();
-  if (!r->ReadValueVector(&sorted_) || sorted_.size() != n) return false;
+  // The B+-tree replay below checks only the keys it samples; an
+  // unsorted leaf would still answer from the wrong positions.
+  if (!r->ReadValueVector(&sorted_) || sorted_.size() != n ||
+      !std::is_sorted(sorted_.begin(), sorted_.end())) {
+    return false;
+  }
   btree_ = BPlusTree(sorted_.data(), n, fanout_);
   return btree_.LoadState(r);
 }

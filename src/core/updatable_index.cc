@@ -1,6 +1,7 @@
 #include "core/updatable_index.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "common/predication.h"
@@ -66,6 +67,59 @@ bool UpdatableIndex::ConsumeTombstone(value_t v) {
     }
   }
   return false;
+}
+
+bool UpdatableIndex::TombstonesPresent() const {
+  std::vector<value_t> all(frozen_deleted_);
+  all.insert(all.end(), deleted_.begin(), deleted_.end());
+  if (all.empty()) return true;
+  std::sort(all.begin(), all.end());
+  // Occurrences of each tombstoned value, tallied at the first index
+  // of its equal run in `all`: in the running merge's source, and in
+  // the live appends.
+  std::vector<size_t> in_source(all.size(), 0);
+  std::vector<size_t> in_live(all.size(), 0);
+  // One bit per hashed tombstoned value, at least 32 bits per
+  // tombstone, screens out nearly every other element before its
+  // binary search: a search per base element made this check cost more
+  // than reading the whole snapshot.
+  int log_bits = 6;
+  while ((size_t{1} << log_bits) < 32 * all.size()) log_bits++;
+  const auto slot = [log_bits](value_t v) {
+    return static_cast<size_t>(
+        (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> (64 - log_bits));
+  };
+  std::vector<uint64_t> filter((size_t{1} << log_bits) / 64, 0);
+  for (const value_t v : all) {
+    const size_t s = slot(v);
+    filter[s / 64] |= uint64_t{1} << (s % 64);
+  }
+  const auto tally = [&](const std::vector<value_t>& vals,
+                         std::vector<size_t>* counts) {
+    for (const value_t v : vals) {
+      const size_t s = slot(v);
+      if ((filter[s / 64] >> (s % 64) & 1) == 0) continue;
+      const auto it = std::lower_bound(all.begin(), all.end(), v);
+      if (it != all.end() && *it == v) (*counts)[it - all.begin()]++;
+    }
+  };
+  tally(base_.values(), &in_source);
+  tally(frozen_pending_, &in_source);
+  tally(pending_, &in_live);
+  for (size_t i = 0; i < all.size();) {
+    const value_t v = all[i];
+    const size_t need = static_cast<size_t>(
+        std::upper_bound(all.begin() + i, all.end(), v) - (all.begin() + i));
+    const auto frozen =
+        std::equal_range(frozen_deleted_.begin(), frozen_deleted_.end(), v);
+    const size_t frozen_need =
+        static_cast<size_t>(frozen.second - frozen.first);
+    if (frozen_need > in_source[i] || need > in_source[i] + in_live[i]) {
+      return false;
+    }
+    i += need;
+  }
+  return true;
 }
 
 size_t UpdatableIndex::CopyFromSource(size_t budget_elems) {
@@ -256,7 +310,8 @@ bool UpdatableIndex::LoadState(persist::Reader* r) {
       !r->ReadValueVector(&frozen_deleted_)) {
     return false;
   }
-  if (!std::is_sorted(frozen_deleted_.begin(), frozen_deleted_.end())) {
+  if (!std::is_sorted(frozen_deleted_.begin(), frozen_deleted_.end()) ||
+      !TombstonesPresent()) {
     return false;
   }
   merges_ = merges;

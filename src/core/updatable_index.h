@@ -142,6 +142,14 @@ class UpdatableIndex : public IndexBase {
   size_t CopyFromSource(size_t budget_elems);
   /// Consumes one unused tombstone equal to `v`, if any.
   bool ConsumeTombstone(value_t v);
+  /// LoadState's check that every tombstone names a value present
+  /// where a merge will consume it. As multisets: frozen_deleted_ ⊆
+  /// base ∪ frozen_pending_ (the running merge's source), and
+  /// frozen_deleted_ ∪ deleted_ ⊆ base ∪ frozen_pending_ ∪ pending_
+  /// (what the next merge's source holds once the frozen ones are
+  /// gone). One pass over base and appends, screened by a hashed bit
+  /// filter before a binary search into the sorted tombstones.
+  bool TombstonesPresent() const;
   /// Adds live+frozen appends and subtracts tombstones for `q` via
   /// const serial scans (TryReadOnlyQuery, ReadOnlyScan).
   void AdjustForDelta(const RangeQuery& q, QueryResult* r) const;

@@ -66,29 +66,41 @@ std::vector<uint64_t> Checkpointer::ListSnapshots() const {
   return seqs;
 }
 
-bool Checkpointer::Save(const IndexBase& index, const SnapshotMeta& meta) {
+bool Checkpointer::Serialize(const IndexBase& index,
+                             const SnapshotMeta& meta) {
   if (!index.SupportsPersistence()) return false;
-  obs::TraceScope span("checkpoint", "persist");
-  const uint64_t seq = next_seq_;
-  const std::string path = PathForSeq(seq);
+  // A snapshot serialized but never published is dropped (its writer
+  // removes the temp file) before the next one reuses its sequence
+  // number — and so its temp path.
+  pending_.reset();
   // Streamed: frames reach the temp file while SaveState runs, so the
   // snapshot never exists as one in-memory payload.
-  Writer w(path);
-  w.WriteString(index.name());
-  w.WriteU64(column_.size());
-  w.WriteU32(column_crc_);
-  w.WriteU64(meta.applied_queries);
-  w.WriteU64(meta.epochs);
-  w.WriteU64(meta.calibration_crc);
-  index.SaveState(&w);
-  if (!w.Publish(path)) return false;
-  next_seq_ = seq + 1;
-  last_snapshot_bytes_ = w.size();
+  auto w = std::make_unique<Writer>(PathForSeq(next_seq_));
+  w->WriteString(index.name());
+  w->WriteU64(column_.size());
+  w->WriteU32(column_crc_);
+  w->WriteU64(meta.applied_queries);
+  w->WriteU64(meta.epochs);
+  w->WriteU64(meta.calibration_crc);
+  index.SaveState(w.get());
+  if (!w->FinishFrames()) return false;
+  pending_ = std::move(w);
+  return true;
+}
+
+bool Checkpointer::Publish() {
+  if (pending_ == nullptr) return false;
+  obs::TraceScope span("publish", "persist");
+  const std::unique_ptr<Writer> w = std::move(pending_);
+  if (!w->Publish(PathForSeq(next_seq_))) return false;
+  next_seq_++;
+  last_snapshot_bytes_ = w->size();
   SnapshotBytesCounter().Add(last_snapshot_bytes_);
   SnapshotsCounter().Add();
   // Prune: everything older than the newest kKeepSnapshots goes. The
   // fallback copy survives a torn newest snapshot (crash matrix in
   // docs/recovery.md).
+  obs::TraceScope prune_span("snapshot_prune", "persist");
   const std::vector<uint64_t> seqs = ListSnapshots();
   if (seqs.size() > kKeepSnapshots) {
     for (size_t i = 0; i + kKeepSnapshots < seqs.size(); i++) {
@@ -96,6 +108,10 @@ bool Checkpointer::Save(const IndexBase& index, const SnapshotMeta& meta) {
     }
   }
   return true;
+}
+
+bool Checkpointer::Save(const IndexBase& index, const SnapshotMeta& meta) {
+  return Serialize(index, meta) && Publish();
 }
 
 bool Checkpointer::TryLoad(uint64_t seq, IndexBase* index,

@@ -3,10 +3,12 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/index_base.h"
+#include "persist/io.h"
 #include "storage/column.h"
 
 // Durable checkpoints of a served progressive index (docs/recovery.md).
@@ -14,11 +16,14 @@
 // A checkpoint is one framed container file `snapshot-<seq>` holding a
 // header (index name, column fingerprint, how much of the admitted log
 // the snapshot covers) followed by the index's own SaveState payload.
-// Snapshots are published crash-atomically (persist::Writer::Publish)
-// and validated end to end on load; recovery walks them newest-first
-// and falls back — older snapshot, then cold start — whenever
-// validation fails, so a torn or bit-flipped file costs replay time,
-// never correctness.
+// It is taken in two steps: Serialize reads the index and streams the
+// payload to `snapshot-<seq>.tmp`; Publish only waits on the disk —
+// fsync, rename, directory fsync (persist::Writer::Publish), prune —
+// so the serving layer runs it off the epoch scheduler. Snapshots are
+// validated end to end on load; recovery walks them newest-first and
+// falls back — older snapshot, then cold start — whenever validation
+// fails, so a torn or bit-flipped file costs replay time, never
+// correctness.
 
 namespace progidx {
 namespace persist {
@@ -39,18 +44,35 @@ struct SnapshotMeta {
 };
 
 /// Writes and recovers `snapshot-<seq>` files in one directory, for one
-/// index over one column. Not thread-safe; the epoch scheduler is the
-/// only writer.
+/// index over one column. At most one snapshot is in flight: each
+/// Serialize is followed by one Publish before the next Serialize.
+/// The two may run on different threads (the server serializes on its
+/// epoch scheduler and publishes on its persistence thread) only when
+/// the caller orders every call after the one before it
+/// (happens-before); the class itself takes no lock.
 class Checkpointer {
  public:
   /// `dir` must exist. Scans it for existing snapshots so the next
   /// Save continues the sequence.
   Checkpointer(std::string dir, const Column& column);
 
-  /// Publishes a new snapshot atomically and prunes all but the
-  /// newest two (the previous one stays as the fallback). Returns
-  /// false when publication failed (IO error or armed crash fault);
-  /// the previous snapshot is untouched either way.
+  /// Step 1, on the thread that owns `index` (the only step that reads
+  /// it): streams the header and index.SaveState to the next
+  /// snapshot's temp file, last frame included, starting each frame's
+  /// writeback as it lands. Returns false — nothing is then pending —
+  /// when the index has no SaveState or the temp file could not be
+  /// written.
+  bool Serialize(const IndexBase& index, const SnapshotMeta& meta);
+
+  /// Step 2: publishes the pending snapshot atomically and prunes all
+  /// but the newest two (the previous one stays as the fallback).
+  /// Returns false when nothing was pending or publication failed (IO
+  /// error or armed crash fault); the previous snapshot is untouched
+  /// either way.
+  bool Publish();
+
+  /// Both steps on the calling thread: Serialize(index, meta) &&
+  /// Publish().
   bool Save(const IndexBase& index, const SnapshotMeta& meta);
 
   /// Loads snapshot `seq` into `index` after full validation: container
@@ -76,6 +98,9 @@ class Checkpointer {
   uint32_t column_crc_ = 0;
   uint64_t next_seq_ = 1;
   size_t last_snapshot_bytes_ = 0;
+  /// The serialized snapshot awaiting Publish (its temp file open,
+  /// its frames written), or null.
+  std::unique_ptr<Writer> pending_;
 };
 
 }  // namespace persist

@@ -12,6 +12,7 @@
 #include "common/fault.h"
 #include "kernels/kernels.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace progidx {
 namespace persist {
@@ -108,13 +109,24 @@ class Writer::Stream {
   Stream& operator=(const Stream&) = delete;
 
   const std::string& path() const { return path_; }
+  /// False once opening or writing the temp file failed.
+  bool ok() const { return ok_; }
 
   void Append(const char* chunk, size_t len) {
     if (!ok_) return;
     const uint32_t header[2] = {static_cast<uint32_t>(len),
                                 Crc32(chunk, len)};
-    ok_ = WriteAll(f_, header, sizeof(header)) && WriteAll(f_, chunk, len);
+    ok_ = WriteAll(f_, header, sizeof(header)) && WriteAll(f_, chunk, len) &&
+          std::fflush(f_) == 0;
     total_crc_ = Crc32Combine(total_crc_, header[1], len);
+#ifdef __linux__
+    // Start the frame's writeback now, while the next frame is built:
+    // Publish's fsync then waits on writes already in flight instead of
+    // handing the disk the whole file at once, which would stall every
+    // other fsync on it (the WAL's) behind one long flush. A hint only:
+    // the fsync stays the durability point, so its result is ignored.
+    if (ok_) ::sync_file_range(fileno(f_), 0, 0, SYNC_FILE_RANGE_WRITE);
+#endif
   }
 
   /// Terminates, syncs and renames the container into place; see
@@ -136,6 +148,7 @@ bool Writer::Stream::Publish(size_t payload_bytes) {
   bool ok = ok_ && WriteAll(f_, terminator, sizeof(terminator)) &&
             std::fflush(f_) == 0;
   if (ok) {
+    obs::TraceScope span("snapshot_fsync", "persist");
     if (fault::Fires(fault::Mode::kFsyncFail, fault::Site::kPersistFsync)) {
       // Simulated fsync failure: the bytes may never reach disk, so
       // the publication must be abandoned, not renamed into place.
@@ -158,11 +171,14 @@ bool Writer::Stream::Publish(size_t payload_bytes) {
     // would leave it, and `path` keeps its previous content.
     return false;
   }
-  if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp_.c_str());
-    return false;
+  {
+    obs::TraceScope span("snapshot_rename", "persist");
+    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+      std::remove(tmp_.c_str());
+      return false;
+    }
+    FsyncParentDir(path_);
   }
-  FsyncParentDir(path_);
   PublishedBytesCounter().Add(payload_bytes);
   PublishesCounter().Add();
 
@@ -225,6 +241,17 @@ void Writer::WriteValues(const value_t* p, size_t n) {
   WriteRaw(p, n * sizeof(value_t));
 }
 
+bool Writer::FinishFrames() {
+  if (stream_ == nullptr) return true;
+  if (!payload_.empty()) {
+    // The open frame is the last one: it may be short.
+    stream_->Append(payload_.data(), payload_.size());
+    streamed_ += payload_.size();
+  }
+  payload_ = std::string();  // frees the frame buffer, not just its bytes
+  return stream_->ok();
+}
+
 bool Writer::Publish(const std::string& path) {
   if (stream_ == nullptr) {
     Stream stream(path);
@@ -235,12 +262,7 @@ bool Writer::Publish(const std::string& path) {
     return stream.Publish(payload_.size());
   }
   if (path != stream_->path()) return false;
-  if (!payload_.empty()) {
-    // The open frame is the last one: it may be short.
-    stream_->Append(payload_.data(), payload_.size());
-    streamed_ += payload_.size();
-    payload_.clear();
-  }
+  FinishFrames();
   return stream_->Publish(streamed_);
 }
 

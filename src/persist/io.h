@@ -30,9 +30,13 @@
 // Publication is crash-atomic: the container is written to
 // `<path>.tmp`, fsync'd, renamed over `path`, and the parent directory
 // fsync'd — a reader never observes a half-written file under POSIX
-// rename semantics. Torn writes (missing terminator, short tail frame)
-// and bit flips (frame or payload CRC mismatch) are detected by Reader
-// and reported as !ok(), never as silently wrong bytes.
+// rename semantics. Each frame's writeback is started as soon as the
+// frame reaches the temp file (sync_file_range on Linux), so the fsync
+// mostly waits on writes already in flight rather than on the whole
+// file at once; the fsync alone stays the durability point. Torn
+// writes (missing terminator, short tail frame) and bit flips (frame
+// or payload CRC mismatch) are detected by Reader and reported as
+// !ok(), never as silently wrong bytes.
 //
 // Layering: core/ index classes include this header for their
 // SaveState/LoadState implementations, so the persist IO layer depends
@@ -108,6 +112,15 @@ class Writer {
   /// Payload bytes written so far, streamed frames included.
   size_t size() const { return streamed_ + payload_.size(); }
 
+  /// Streaming writers: writes the open frame — the last one, which
+  /// may be short — to the temp file and frees the frame buffer, so
+  /// until Publish the writer holds only the open file and the running
+  /// CRC. Returns false when the temp file could not be opened or a
+  /// frame could not be written (Publish would then fail too). Nothing
+  /// may be written after it; Publish calls it when the caller has
+  /// not. In-memory writers have no frames to finish: returns true.
+  bool FinishFrames();
+
   /// Frames the payload and atomically publishes it at `path` (temp
   /// file + fsync + rename + directory fsync). Returns false when an
   /// IO error or an armed crash fault aborted publication; `path` then
@@ -115,7 +128,9 @@ class Writer {
   /// the `snapshot_torn` fault, which deliberately publishes a
   /// truncated file and returns true so recovery must catch it. An
   /// in-memory writer may publish repeatedly; a streaming writer
-  /// publishes once, to the path it was constructed with.
+  /// publishes once, to the path it was constructed with, and may do
+  /// so on another thread than the one that wrote the payload once
+  /// FinishFrames has returned there (the caller orders the two).
   bool Publish(const std::string& path);
 
  private:

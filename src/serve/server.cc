@@ -92,6 +92,9 @@ Server::Server(IndexBase* index, const Column& column, ServerConfig config)
            "serve: checkpoint interval must be > 0");
   start_ns_ = obs::TraceNowNs();
   if (!config_.persist_dir.empty()) SetUpDurability();
+  if (checkpointer_ != nullptr) {
+    publisher_ = std::thread([this] { PublisherLoop(); });
+  }
   scheduler_ = std::thread([this] { SchedulerLoop(); });
 }
 
@@ -136,6 +139,17 @@ void Server::SetUpDurability() {
 Server::~Server() {
   queue_.Close();
   if (scheduler_.joinable()) scheduler_.join();
+  // The scheduler has handed off its last snapshot; the persistence
+  // thread publishes it before exiting, so the directory is complete
+  // (and the metrics below final) once the server is gone.
+  if (publisher_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lk(publish_m_);
+      publish_stop_ = true;
+    }
+    publish_cv_.notify_all();
+    publisher_.join();
+  }
   if (const char* path = obs::MetricsDumpPathFromEnv()) {
     const std::string dump = DumpMetrics();
     if (std::strcmp(path, "-") == 0) {
@@ -310,18 +324,7 @@ void Server::SchedulerLoop() {
     if (popped == 0) {
       // Closed and drained: one last snapshot so a clean shutdown
       // recovers without replay.
-      if (persist_enabled_ && !wal_.broken() && checkpointer_ != nullptr &&
-          epochs_since_ckpt_ > 0) {
-        persist::SnapshotMeta meta;
-        meta.applied_queries = wal_queries_;
-        meta.epochs = write_epochs_.load(std::memory_order_relaxed);
-        meta.calibration_crc = calibration_crc_;
-        if (checkpointer_->Save(*index_, meta)) {
-          checkpoints_.fetch_add(1, std::memory_order_relaxed);
-          last_snapshot_ns_.store(obs::TraceNowNs(),
-                                  std::memory_order_relaxed);
-        }
-      }
+      Checkpoint(/*shutdown=*/true);
       return;
     }
     // Under kWorkerStall the scheduler itself occasionally stalls
@@ -389,24 +392,55 @@ void Server::SchedulerLoop() {
           live[i]->Complete(ServeSlot::State::kServed, rs[i]);
         }
       }
-      // Snapshot after waking the epoch's clients: checkpoint cost is
-      // scheduler time, not client latency. Only while the WAL is
-      // healthy — a snapshot must never cover queries the durable log
-      // lost.
-      if (persist_enabled_ && !wal_.broken() && checkpointer_ != nullptr &&
-          ++epochs_since_ckpt_ >= config_.checkpoint_every) {
-        persist::SnapshotMeta meta;
-        meta.applied_queries = wal_queries_;
-        meta.epochs = write_epochs_.load(std::memory_order_relaxed);
-        meta.calibration_crc = calibration_crc_;
-        if (checkpointer_->Save(*index_, meta)) {
-          checkpoints_.fetch_add(1, std::memory_order_relaxed);
-          last_snapshot_ns_.store(obs::TraceNowNs(),
-                                  std::memory_order_relaxed);
-        }
-        epochs_since_ckpt_ = 0;
-      }
+      Checkpoint(/*shutdown=*/false);
     }
+  }
+}
+
+void Server::Checkpoint(bool shutdown) {
+  // Only while the WAL is healthy — a snapshot must never cover
+  // queries the durable log lost.
+  if (!persist_enabled_ || wal_.broken() || checkpointer_ == nullptr) return;
+  if (shutdown ? epochs_since_ckpt_ == 0
+               : ++epochs_since_ckpt_ < config_.checkpoint_every) {
+    return;
+  }
+  epochs_since_ckpt_ = 0;
+  // Taken after the epoch's clients were woken, but the next epoch
+  // waits here: serialization reads the index it would mutate. The
+  // disk-bound rest runs on the persistence thread.
+  obs::TraceScope span("checkpoint", "persist");
+  {
+    std::unique_lock<std::mutex> lk(publish_m_);
+    publish_cv_.wait(lk, [this] { return !publish_pending_; });
+  }
+  // The meta covers only ops already durably logged: each epoch's WAL
+  // append precedes its execution.
+  persist::SnapshotMeta meta;
+  meta.applied_queries = wal_queries_;
+  meta.epochs = write_epochs_.load(std::memory_order_relaxed);
+  meta.calibration_crc = calibration_crc_;
+  if (!checkpointer_->Serialize(*index_, meta)) return;
+  checkpoints_.fetch_add(1, std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(publish_m_);
+    publish_pending_ = true;
+  }
+  publish_cv_.notify_all();
+}
+
+void Server::PublisherLoop() {
+  std::unique_lock<std::mutex> lk(publish_m_);
+  for (;;) {
+    publish_cv_.wait(lk, [this] { return publish_pending_ || publish_stop_; });
+    if (!publish_pending_) return;  // stopped, nothing left to publish
+    lk.unlock();
+    if (checkpointer_->Publish()) {
+      last_snapshot_ns_.store(obs::TraceNowNs(), std::memory_order_relaxed);
+    }
+    lk.lock();
+    publish_pending_ = false;
+    publish_cv_.notify_all();
   }
 }
 

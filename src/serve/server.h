@@ -2,6 +2,7 @@
 #define PROGIDX_SERVE_SERVER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -40,8 +41,9 @@ struct ServerConfig {
   /// "serve exactly, never wait" extreme.
   uint64_t deadline_us = kNoDeadline;
   /// Durability (docs/recovery.md): when non-empty, the scheduler
-  /// write-ahead-logs every epoch to `<persist_dir>/wal` and publishes
-  /// a crash-atomic index snapshot every `checkpoint_every` epochs.
+  /// write-ahead-logs every epoch to `<persist_dir>/wal` and serializes
+  /// an index snapshot every `checkpoint_every` epochs, which the
+  /// server's persistence thread then publishes crash-atomically.
   /// Pass an index produced by serve::RecoverIndex over the same
   /// directory, or an empty directory for a fresh serving run.
   std::string persist_dir;
@@ -95,7 +97,12 @@ struct ServeStats {
   uint64_t updates_applied = 0;  ///< appends/deletes applied by epochs
   uint64_t updates_rejected = 0; ///< updates refused, not applied
   uint64_t durable_queries = 0;  ///< ops in the durable admitted log
-  uint64_t checkpoints = 0;      ///< snapshots published this run
+  /// Snapshots serialized and handed to the persistence thread this
+  /// run. Counted on the scheduler at the hand-off, so it is a pure
+  /// function of the epoch schedule even while the last publication is
+  /// still in flight; the `persist.snapshots` counter counts completed
+  /// publications.
+  uint64_t checkpoints = 0;
   /// True once a WAL append failed: the durable log is frozen at its
   /// valid prefix and no further checkpoints are taken (serving
   /// continues — durability degrades, answers never do).
@@ -118,6 +125,12 @@ struct ServeStats {
 /// with a zero-budget scan of the immutable base column — exact, just
 /// slower, and counted in ServeStats::degraded.
 ///
+/// Durability: with ServerConfig::persist_dir set, every
+/// checkpoint_every epochs the scheduler serializes a snapshot of the
+/// index and a persistence thread publishes it (fsync, rename,
+/// directory fsync, prune) while epochs go on; the next serialization
+/// first waits for the previous publication.
+///
 /// Determinism: with SubmitOrdered + exact_batches (+ read epochs off,
 /// no deadline), the epoch schedule is fixed by admission order, so the
 /// final index state is bit-identical to serially replaying
@@ -126,7 +139,8 @@ struct ServeStats {
 ///
 /// Destroy the server only after all submitting threads have returned;
 /// destruction closes the queue, drains remaining slots through final
-/// write epochs, and joins the scheduler.
+/// write epochs, joins the scheduler (which takes the final snapshot),
+/// then lets the persistence thread publish it and joins that too.
 class Server {
  public:
   Server(IndexBase* index, const Column& column, ServerConfig config = {});
@@ -193,6 +207,14 @@ class Server {
 
  private:
   void SchedulerLoop();
+  /// Scheduler side of a checkpoint, run after an epoch's clients are
+  /// woken (`shutdown`: once the queue has drained): when one is due,
+  /// waits for the previous publication, serializes the index and
+  /// hands the snapshot to the persistence thread.
+  void Checkpoint(bool shutdown);
+  /// Persistence thread: publishes each handed-off snapshot; returns
+  /// once stopped with nothing pending.
+  void PublisherLoop();
   Response Degrade(const ServeRequest& req);
   /// Read-epoch fast path; true when answered.
   bool TryReadEpoch(const RangeQuery& q, Response* out);
@@ -240,8 +262,10 @@ class Server {
   std::vector<size_t> epoch_sizes_;
 
   /// Durability state (docs/recovery.md). Written by the scheduler
-  /// thread only, after construction; the atomics mirror the counters
-  /// for stats() readers.
+  /// thread only, after construction — except checkpointer_, whose
+  /// Publish runs on the persistence thread, ordered after Serialize
+  /// by the hand-off below; the atomics mirror the counters for stats()
+  /// readers.
   bool persist_enabled_ = false;
   persist::WalWriter wal_;
   std::unique_ptr<persist::Checkpointer> checkpointer_;
@@ -261,7 +285,18 @@ class Server {
   uint64_t start_ns_ = 0;
   std::atomic<uint64_t> last_snapshot_ns_{0};
 
+  /// Snapshot hand-off between the scheduler and the persistence
+  /// thread: publish_pending_ is set when a serialized snapshot awaits
+  /// Publish and cleared once it is published (or failed);
+  /// publish_stop_ asks the thread to exit after draining.
+  std::mutex publish_m_;
+  std::condition_variable publish_cv_;
+  bool publish_pending_ = false;
+  bool publish_stop_ = false;
+
   std::thread scheduler_;
+  /// Runs PublisherLoop; started only when checkpointer_ exists.
+  std::thread publisher_;
 };
 
 }  // namespace serve

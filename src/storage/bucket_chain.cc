@@ -47,19 +47,6 @@ QueryResult BucketChain::RangeSum(const RangeQuery& q) const {
   return result;
 }
 
-QueryResult BucketChain::RangeSumFrom(const Cursor& cursor,
-                                      const RangeQuery& q) const {
-  const kernels::KernelOps& ops = kernels::Dispatch();
-  QueryResult result;
-  for (size_t bi = cursor.block; bi < blocks_.size(); bi++) {
-    const Block* b = blocks_[bi].get();
-    const size_t start = (bi == cursor.block) ? cursor.offset : 0;
-    result +=
-        ops.range_sum_predicated(b->values.get() + start, b->count - start, q);
-  }
-  return result;
-}
-
 void BucketChain::Clear() {
   blocks_.clear();
   tail_ = nullptr;

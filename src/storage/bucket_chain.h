@@ -136,10 +136,6 @@ class BucketChain {
     }
   }
 
-  /// RangeSum over the not-yet-drained suffix starting at `cursor`,
-  /// without advancing it; block-wise through the dispatched kernel.
-  QueryResult RangeSumFrom(const Cursor& cursor, const RangeQuery& q) const;
-
   /// Serializes block capacity + contents in append order
   /// (docs/recovery.md). Because every block except the tail is always
   /// full, reloading through AppendRun reproduces the block geometry

@@ -641,20 +641,6 @@ TEST(BucketChainKernelTest, RangeSumMatchesForEach) {
       count += match;
     });
     EXPECT_EQ(chain.RangeSum(q), (QueryResult{sum, count}));
-    // And from a random cursor position.
-    BucketChain::Cursor cursor;
-    const size_t skip = n == 0 ? 0 : rng.NextBounded(n);
-    int64_t suffix_sum = sum;
-    int64_t suffix_count = count;
-    for (size_t i = 0; i < skip; i++) {
-      const value_t v = chain.ReadAndAdvance(&cursor);
-      const int64_t match = static_cast<int64_t>(v >= q.low) &
-                            static_cast<int64_t>(v <= q.high);
-      suffix_sum -= v * match;
-      suffix_count -= match;
-    }
-    EXPECT_EQ(chain.RangeSumFrom(cursor, q),
-              (QueryResult{suffix_sum, suffix_count}));
   }
 }
 

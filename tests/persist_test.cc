@@ -393,6 +393,34 @@ void PutU64(std::string* s, size_t offset, uint64_t v) {
   std::memcpy(s->data() + offset, &v, sizeof(v));
 }
 
+// The full index's sorted array must be sorted: the B+-tree replay
+// checks only the keys it samples, so two values swapped inside one
+// leaf loaded before and answered ranges around them wrongly.
+TEST(PersistRoundTrip, FullIndexRejectsUnsortedArray) {
+  constexpr size_t kN = 4096;
+  const Column column = MakeUniformColumn(kN, 191);
+  auto index = MakeIndex("fi", column, BudgetSpec::FixedDelta(0.25));
+  index->Query({column.min_value(), column.max_value()});
+  const std::string saved = StatePayload(*index);
+  // The built flag, then the array's count and values.
+  ASSERT_EQ(GetU64(saved, 0), 1u);
+  ASSERT_EQ(GetU64(saved, 8), kN);
+  const auto loads = [&](const std::string& payload) {
+    auto reloaded = MakeIndex("fi", column, BudgetSpec::FixedDelta(0.25));
+    persist::Reader r = persist::Reader::FromPayload(payload);
+    return reloaded->LoadState(&r);
+  };
+  ASSERT_TRUE(loads(saved));
+  // Positions 10 and 20 sit inside the first 64-key leaf.
+  const size_t a = 16 + 8 * 10;
+  const size_t b = 16 + 8 * 20;
+  ASSERT_NE(GetU64(saved, a), GetU64(saved, b));
+  std::string patched = saved;
+  PutU64(&patched, a, GetU64(saved, b));
+  PutU64(&patched, b, GetU64(saved, a));
+  EXPECT_FALSE(loads(patched));
+}
+
 /// Offset just past the BucketChain saved at `offset` (block capacity,
 /// element count, then one count-prefixed run per block).
 size_t SkipChain(const std::string& s, size_t offset) {
@@ -1102,6 +1130,42 @@ TEST(PersistServerTest, RecoveryFallsBackAcrossCorruptSnapshots) {
   EXPECT_EQ(StatePayload(*cold), StatePayload(*index));
 }
 
+// ServeStats::checkpoints counts snapshots handed to the persistence
+// thread, on the scheduler: read right after the last answer — while
+// the last publication may still be in flight — it is a pure function
+// of the epoch schedule.
+TEST(PersistServerTest, CheckpointCountFollowsEpochSchedule) {
+  if (fault::ModeFromEnv() != fault::Mode::kNone) {
+    GTEST_SKIP() << "exact checkpoint counts require no armed fault";
+  }
+  constexpr size_t kEpochs = 10;
+  const Column column = MakeUniformColumn(6000, 197);
+  serve::ServerConfig cfg = DurableConfig("");
+  cfg.checkpoint_every = 3;
+  cfg.exact_batches = true;
+  const auto workload = WorkloadGenerator::Generate(
+      WorkloadPattern::kRandom, column.min_value(), column.max_value(),
+      kEpochs * cfg.batch_size, 0.1, 199);
+  for (int run = 0; run < 3; run++) {
+    TempDir dir;
+    cfg.persist_dir = dir.path;
+    auto index = MakeIndex("pq", column, BudgetSpec::FixedDelta(0.1));
+    serve::Server server(index.get(), column, cfg);
+    std::vector<serve::ServeSlot> slots(workload.size());
+    for (size_t i = 0; i < workload.size(); i++) {
+      server.SubmitOrderedStart(i, workload[i], &slots[i]);
+    }
+    for (size_t i = 0; i < workload.size(); i++) {
+      EXPECT_EQ(server.SubmitOrderedFinish(&slots[i]).result,
+                exec::ZeroBudgetScan(column, workload[i]));
+    }
+    const serve::ServeStats stats = server.stats();
+    EXPECT_EQ(stats.write_epochs, kEpochs);
+    EXPECT_EQ(stats.checkpoints, kEpochs / cfg.checkpoint_every)
+        << "run " << run;
+  }
+}
+
 TEST(PersistServerTest, IndexWithoutPersistenceRecoversByColdReplay) {
   if (fault::ModeFromEnv() != fault::Mode::kNone) {
     GTEST_SKIP() << "exact replay counts require no armed fault";
@@ -1373,6 +1437,104 @@ TEST(PersistUpdatableTest, MidMergeSaveLoadRoundTripsByteForByte) {
   }
   EXPECT_GE(updatable->merge_count(), 1u);
   EXPECT_EQ(StatePayload(*original), StatePayload(*loaded));
+}
+
+/// Offsets of the four count-prefixed delta runs in an UpdatableIndex
+/// payload with no completed merge: merges, phase, merge cursor and
+/// step come first, then pending, deleted, frozen pending and frozen
+/// deleted.
+struct DeltaOffsets {
+  size_t pending, deleted, frozen_pending, frozen_deleted;
+};
+DeltaOffsets UpdatableDeltaOffsets(const std::string& s) {
+  DeltaOffsets d{};
+  d.pending = 32;
+  d.deleted = d.pending + 8 + 8 * GetU64(s, d.pending);
+  d.frozen_pending = d.deleted + 8 + 8 * GetU64(s, d.deleted);
+  d.frozen_deleted = d.frozen_pending + 8 + 8 * GetU64(s, d.frozen_pending);
+  return d;
+}
+
+/// Base values 0..999, each once.
+Column IotaColumn() {
+  std::vector<value_t> values(1000);
+  for (size_t i = 0; i < values.size(); i++) {
+    values[i] = static_cast<value_t>(i);
+  }
+  return Column(std::move(values));
+}
+
+bool UpdatableLoads(const Column& column, double merge_threshold,
+                    const std::string& payload) {
+  std::unique_ptr<IndexBase> loaded =
+      UpdatableFactory(column, merge_threshold)(GlobalMachineConstants());
+  persist::Reader r = persist::Reader::FromPayload(payload);
+  return loaded->LoadState(&r);
+}
+
+// A tombstone must name a value the multiset holds. One for an absent
+// value loaded before: answers covering it subtracted a value nobody
+// added, and the merge that froze it aborted on the unconsumed
+// tombstone.
+TEST(PersistUpdatableTest, RejectsIdleTombstoneForAbsentValue) {
+  const Column column = IotaColumn();
+  auto original = UpdatableFactory(column, 0.5)(GlobalMachineConstants());
+  original->AsUpdatable()->Delete(7);
+  original->AsUpdatable()->Delete(8);
+  const std::string saved = StatePayload(*original);
+  const DeltaOffsets d = UpdatableDeltaOffsets(saved);
+  ASSERT_EQ(GetU64(saved, d.deleted), 2u);
+  ASSERT_EQ(GetU64(saved, d.deleted + 8), 7u);
+  ASSERT_TRUE(UpdatableLoads(column, 0.5, saved));
+
+  std::string patched = saved;
+  PutU64(&patched, d.deleted + 8, static_cast<uint64_t>(int64_t{-5}));
+  EXPECT_FALSE(UpdatableLoads(column, 0.5, patched)) << "absent value";
+  patched = saved;
+  PutU64(&patched, d.deleted + 16, 7);
+  EXPECT_FALSE(UpdatableLoads(column, 0.5, patched))
+      << "two tombstones for the one 7";
+}
+
+TEST(PersistUpdatableTest, RejectsMidMergeTombstoneForAbsentValue) {
+  const Column column = IotaColumn();
+  auto original = UpdatableFactory(column, 0.01)(GlobalMachineConstants());
+  UpdatableIndex* updatable = original->AsUpdatable();
+  // 12 delta entries cross the threshold (0.01 × 1000); one query
+  // freezes them and copies the first slice.
+  updatable->Delete(7);
+  updatable->Delete(8);
+  for (value_t v = 1000; v < 1010; v++) updatable->Append(v);
+  (void)updatable->Query(RangeQuery{0, 2000});
+  ASSERT_TRUE(updatable->merge_in_progress());
+  // The live delta, after the freeze.
+  updatable->Append(2000);
+  updatable->Delete(500);
+  const std::string saved = StatePayload(*original);
+  const DeltaOffsets d = UpdatableDeltaOffsets(saved);
+  ASSERT_EQ(GetU64(saved, d.deleted), 1u);
+  ASSERT_EQ(GetU64(saved, d.frozen_deleted), 2u);
+  ASSERT_EQ(GetU64(saved, d.frozen_deleted + 8), 7u);
+  ASSERT_EQ(GetU64(saved, d.frozen_deleted + 16), 8u);
+  ASSERT_TRUE(UpdatableLoads(column, 0.01, saved));
+
+  // A frozen tombstone for an absent value (still sorted).
+  std::string patched = saved;
+  PutU64(&patched, d.frozen_deleted + 8, static_cast<uint64_t>(int64_t{-5}));
+  EXPECT_FALSE(UpdatableLoads(column, 0.01, patched)) << "frozen, absent";
+  // A live tombstone for an absent value, and one for the 8 that the
+  // frozen tombstone already deletes.
+  patched = saved;
+  PutU64(&patched, d.deleted + 8, 5000);
+  EXPECT_FALSE(UpdatableLoads(column, 0.01, patched)) << "live, absent";
+  patched = saved;
+  PutU64(&patched, d.deleted + 8, 8);
+  EXPECT_FALSE(UpdatableLoads(column, 0.01, patched))
+      << "live, already deleted by a frozen tombstone";
+  // A live tombstone for the live append is legal.
+  patched = saved;
+  PutU64(&patched, d.deleted + 8, 2000);
+  EXPECT_TRUE(UpdatableLoads(column, 0.01, patched));
 }
 
 class PersistUpdateFaultTest : public ::testing::TestWithParam<fault::Mode> {};

@@ -8,6 +8,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -365,6 +369,56 @@ TEST(ServeTest, CloseRacingOrderedAdmitsNeverWedges) {
   }
 }
 
+/// Parks the scheduler inside one epoch: while armed, QueryBatch
+/// records that it was entered and blocks until Release(). Answers
+/// come from the wrapped index either way.
+class LatchedIndex : public IndexBase {
+ public:
+  explicit LatchedIndex(std::unique_ptr<IndexBase> inner)
+      : inner_(std::move(inner)) {}
+
+  void Arm() {
+    std::lock_guard<std::mutex> lk(m_);
+    armed_ = true;
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lk(m_);
+    cv_.wait(lk, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lk(m_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  QueryResult Query(const RangeQuery& q) override {
+    QueryResult r;
+    QueryBatch(&q, 1, &r);
+    return r;
+  }
+  void QueryBatch(const RangeQuery* qs, size_t count,
+                  QueryResult* out) override {
+    {
+      std::unique_lock<std::mutex> lk(m_);
+      if (armed_) {
+        entered_ = true;
+        cv_.notify_all();
+        cv_.wait(lk, [this] { return !armed_; });
+      }
+    }
+    inner_->QueryBatch(qs, count, out);
+  }
+  bool converged() const override { return inner_->converged(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<IndexBase> inner_;
+  std::mutex m_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool entered_ = false;
+};
+
 TEST(ServeTest, OverloadShedsInsteadOfBlocking) {
   constexpr size_t kClients = 4;
   constexpr size_t kPerClient = 50;
@@ -372,11 +426,74 @@ TEST(ServeTest, OverloadShedsInsteadOfBlocking) {
   const auto workload = WorkloadGenerator::Generate(
       WorkloadPattern::kRandom, column.min_value(), column.max_value(),
       kClients * kPerClient, 0.1, 31);
-  auto index = MakeIndex("pq", column, BudgetSpec::FixedDelta(0.02));
+  LatchedIndex index(MakeIndex("pq", column, BudgetSpec::FixedDelta(0.02)));
   serve::ServerConfig cfg;
   cfg.queue_capacity = 2;
   cfg.batch_size = 2;
-  serve::Server server(index.get(), column, cfg);
+  serve::Server server(&index, column, cfg);
+
+  // Parked phase: a blocking submit's epoch holds the scheduler, so
+  // nothing leaves the 2-deep queue while four TrySubmits arrive —
+  // exactly two are admitted and two shed, whatever the timing. An
+  // armed fault mode may refuse admissions on its own, so the exact
+  // split is only asserted without one.
+  if (fault::ModeFromEnv() == fault::Mode::kNone) {
+    index.Arm();
+    std::thread parked([&] {
+      EXPECT_EQ(server.Submit(workload[0]).result,
+                exec::ZeroBudgetScan(column, workload[0]));
+    });
+    index.WaitEntered();
+    std::mutex m;
+    std::condition_variable cv;
+    size_t returned = 0;
+    bool done[kClients] = {};
+    serve::SubmitStatus status[kClients] = {};
+    serve::Response resp[kClients];
+    std::vector<std::thread> tries;
+    for (size_t i = 0; i < kClients; ++i) {
+      tries.emplace_back([&, i] {
+        const serve::SubmitStatus st =
+            server.TrySubmit(workload[1 + i], &resp[i]);
+        std::lock_guard<std::mutex> lk(m);
+        status[i] = st;
+        done[i] = true;
+        returned++;
+        cv.notify_all();
+      });
+    }
+    {
+      // Only a refused TrySubmit can return while the scheduler is
+      // parked; an admitted one waits for its epoch.
+      std::unique_lock<std::mutex> lk(m);
+      EXPECT_TRUE(cv.wait_for(lk, std::chrono::seconds(60),
+                              [&] { return returned >= 2; }));
+      size_t shed = 0;
+      for (size_t i = 0; i < kClients; ++i) {
+        if (done[i] && status[i] == serve::SubmitStatus::kOverloaded) shed++;
+      }
+      EXPECT_EQ(returned, 2u);
+      EXPECT_EQ(shed, 2u) << "a full 2-deep queue must shed, not block";
+    }
+    index.Release();
+    parked.join();
+    for (std::thread& t : tries) t.join();
+    size_t admitted = 0;
+    for (size_t i = 0; i < kClients; ++i) {
+      if (status[i] != serve::SubmitStatus::kOk) continue;
+      admitted++;
+      EXPECT_EQ(resp[i].result, exec::ZeroBudgetScan(column, workload[1 + i]));
+    }
+    EXPECT_EQ(admitted, 2u);
+    const serve::ServeStats stats = server.stats();
+    EXPECT_EQ(stats.shed, 2u);
+    EXPECT_EQ(stats.served + stats.degraded + stats.read_epoch + stats.shed,
+              stats.submitted);
+  }
+
+  // Free-running phase: four clients against the same queue. Whether
+  // any of them sheds depends on thread timing; every answer they get
+  // must be exact either way.
   std::atomic<size_t> wrong{0};
   std::atomic<size_t> answered{0};
   std::vector<std::thread> clients;
@@ -395,7 +512,6 @@ TEST(ServeTest, OverloadShedsInsteadOfBlocking) {
   for (std::thread& t : clients) t.join();
   EXPECT_EQ(wrong.load(), 0u);
   const serve::ServeStats stats = server.stats();
-  EXPECT_GT(stats.shed, 0u) << "a 2-deep queue under 4 clients must shed";
   EXPECT_GT(answered.load(), 0u);
   EXPECT_EQ(stats.served + stats.degraded + stats.read_epoch + stats.shed,
             stats.submitted);
