@@ -295,6 +295,42 @@ BENCHMARK(BM_BinarySearchBaseline);
 
 volatile int64_t throughput_sink = 0;
 
+/// Leaf-sort input: `n`-element leaves, with values in [0, 4096) when
+/// `full_width` is 0 (two radix passes, like a quicksort leaf of a
+/// uniform column) and over all of int64_t otherwise (eight passes).
+std::vector<value_t> LeafData(size_t n, bool full_width, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<value_t> data(n);
+  for (value_t& v : data) {
+    v = full_width ? static_cast<value_t>(rng.Next())
+                   : static_cast<value_t>(rng.NextBounded(4096));
+  }
+  return data;
+}
+
+/// 63 sampled bounds: 64 equi-height buckets, Progressive Bucketsort's
+/// default.
+std::vector<value_t> LookupBounds() {
+  Rng rng(9);
+  std::vector<value_t> bounds(63);
+  for (value_t& b : bounds) b = static_cast<value_t>(rng.NextBounded(4096));
+  std::sort(bounds.begin(), bounds.end());
+  return bounds;
+}
+
+/// Sum of the buckets of `probes`, so no lookup can be optimized away.
+template <typename Lookup>
+size_t SumBuckets(const std::vector<value_t>& probes, const Lookup& lookup) {
+  size_t sum = 0;
+  for (const value_t v : probes) sum += lookup(v);
+  return sum;
+}
+
+size_t StdUpperBound(const std::vector<value_t>& bounds, value_t v) {
+  return static_cast<size_t>(
+      std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+}
+
 /// One timed invocation of `fn`; `prepare` runs outside the timed
 /// region. Reps are interleaved *across tiers* by the caller (tier A
 /// rep 1, tier B rep 1, ..., tier A rep 2, ...): the shared container
@@ -562,6 +598,64 @@ void WriteKernelThroughputJson(const char* path) {
     scatter64.push_back(shape);
   }
 
+  // --- Leaf sorts and the bucket lookup: the sort-outright leaves of
+  // the progressive indexes and Progressive Bucketsort's creation-phase
+  // search, each against the std:: call it replaced, in ns/element over
+  // 2^18 elements (leaves re-copied outside the timer).
+  struct LeafSortRow {
+    size_t elements;
+    const char* keys;
+    double std_sort_ns;
+    double sort_leaf_ns;
+  };
+  constexpr size_t kLeafTotal = size_t{1} << 18;
+  std::vector<LeafSortRow> leaf_rows;
+  std::vector<value_t> leaves(kLeafTotal);
+  for (const size_t leaf : {size_t{256}, size_t{4096}}) {
+    for (const bool full_width : {false, true}) {
+      const std::vector<value_t> source = LeafData(kLeafTotal, full_width, 12);
+      auto refill = [&] {
+        std::memcpy(leaves.data(), source.data(),
+                    kLeafTotal * sizeof(value_t));
+      };
+      double std_best = 1e30;
+      double radix_best = 1e30;
+      for (size_t r = 0; r < kReps; r++) {
+        std_best = std::min(std_best, MeasureSecsOnce(refill, [&] {
+          for (size_t i = 0; i < kLeafTotal; i += leaf) {
+            std::sort(leaves.data() + i, leaves.data() + i + leaf);
+          }
+        }));
+        radix_best = std::min(radix_best, MeasureSecsOnce(refill, [&] {
+          for (size_t i = 0; i < kLeafTotal; i += leaf) {
+            kernels::SortLeaf(leaves.data() + i, leaf);
+          }
+        }));
+        throughput_sink = leaves[kLeafTotal / 2];
+      }
+      leaf_rows.push_back({leaf, full_width ? "full_width" : "narrow",
+                           std_best * 1e9 / kLeafTotal,
+                           radix_best * 1e9 / kLeafTotal});
+    }
+  }
+  const std::vector<value_t> bounds = LookupBounds();
+  const kernels::UpperBoundLookup lookup(bounds.data(), bounds.size());
+  const std::vector<value_t> probes = LeafData(kLeafTotal, false, 13);
+  double upper_bound_best = 1e30;
+  double branch_free_best = 1e30;
+  for (size_t r = 0; r < kReps; r++) {
+    upper_bound_best = std::min(upper_bound_best, MeasureSecsOnce(nop, [&] {
+      throughput_sink = static_cast<int64_t>(SumBuckets(
+          probes, [&](value_t v) { return StdUpperBound(bounds, v); }));
+    }));
+    branch_free_best = std::min(branch_free_best, MeasureSecsOnce(nop, [&] {
+      throughput_sink = static_cast<int64_t>(SumBuckets(probes, lookup));
+    }));
+  }
+  const double upper_bound_ns = upper_bound_best * 1e9 / kLeafTotal;
+  const double branch_free_ns = branch_free_best * 1e9 / kLeafTotal;
+  const unsigned hardware_threads = std::thread::hardware_concurrency();
+
   // Read-merge-write: this tool owns the kernel/tier/thread sections
   // and must preserve everything else (the `batch` rows merged by
   // bench/batch_throughput, and any future sections), whichever tool
@@ -612,6 +706,28 @@ void WriteKernelThroughputJson(const char* path) {
   scatter_raw += "  ]";
   bench::UpsertJsonSection(&sections, "scatter_64bucket",
                            std::move(scatter_raw));
+  std::string leaf_raw = "[\n";
+  for (size_t i = 0; i < leaf_rows.size(); i++) {
+    const LeafSortRow& row = leaf_rows[i];
+    bench::AppendF(&leaf_raw,
+                   "    {\"elements\": %zu, \"keys\": \"%s\", "
+                   "\"std_sort_ns_per_elem\": %.3f, "
+                   "\"sort_leaf_ns_per_elem\": %.3f, \"speedup\": %.3f, "
+                   "\"hardware_threads\": %u}%s\n",
+                   row.elements, row.keys, row.std_sort_ns, row.sort_leaf_ns,
+                   row.std_sort_ns / row.sort_leaf_ns, hardware_threads,
+                   i + 1 < leaf_rows.size() ? "," : "");
+  }
+  leaf_raw += "  ]";
+  bench::UpsertJsonSection(&sections, "leaf_sort", std::move(leaf_raw));
+  std::string lookup_raw;
+  bench::AppendF(&lookup_raw,
+                 "[\n    {\"buckets\": %zu, \"upper_bound_ns\": %.3f, "
+                 "\"branch_free_ns\": %.3f, \"speedup\": %.3f, "
+                 "\"hardware_threads\": %u}\n  ]",
+                 bounds.size() + 1, upper_bound_ns, branch_free_ns,
+                 upper_bound_ns / branch_free_ns, hardware_threads);
+  bench::UpsertJsonSection(&sections, "bucket_lookup", std::move(lookup_raw));
   if (!bench::WriteJsonSections(path, sections)) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
@@ -641,6 +757,18 @@ void WriteKernelThroughputJson(const char* path) {
         s.elements, s.direct_gbps, s.wc_gbps, s.conflict_gbps,
         s.conflict_gbps == 0 ? " (unavailable)" : "");
   }
+  for (const LeafSortRow& row : leaf_rows) {
+    std::printf(
+        "  leaf sort %4zu %-10s  std::sort %6.2f ns/elem  SortLeaf %6.2f "
+        "ns/elem (%.2fx)\n",
+        row.elements, row.keys, row.std_sort_ns, row.sort_leaf_ns,
+        row.std_sort_ns / row.sort_leaf_ns);
+  }
+  std::printf(
+      "  bucket lookup %zu buckets  upper_bound %6.2f ns  branch-free %6.2f "
+      "ns (%.2fx)\n",
+      bounds.size() + 1, upper_bound_ns, branch_free_ns,
+      upper_bound_ns / branch_free_ns);
 }
 
 }  // namespace

@@ -104,17 +104,17 @@ size_t IncrementalQuicksort::WorkOn(Node* node, size_t budget,
     const size_t size = node->end - node->start;
     if (size <= l1_elements_) {
       // Small nodes are sorted outright — an atomic unit of work that
-      // may overshoot the budget by one leaf. Sorting costs
-      // O(size·log2(size)) element operations, and the budget is
-      // denominated in swap-equivalent units, so charge the log factor
-      // times the calibrated sort-visit-to-crack-step ratio (a crack
-      // step is ~4-9x cheaper than a sort visit on the vectorized
-      // tiers; without the ratio, per-query times balloon past the
-      // indexing budget whenever refinement reaches the leaves).
+      // may overshoot the budget by one leaf. A leaf is charged
+      // size·log2(size) sort units, and the budget is denominated in
+      // swap-equivalent units, so charge them times the calibrated
+      // sort-unit-to-crack-step ratio (measured on kernels::SortLeaf,
+      // the sort that runs here; without the ratio, per-query times
+      // drift off the indexing budget whenever refinement reaches the
+      // leaves).
       if (defer_leaf_sorts_) {
         pending_leaf_sorts_.emplace_back(node->start, node->end);
       } else {
-        std::sort(data_ + node->start, data_ + node->end);
+        kernels::SortLeaf(data_ + node->start, node->end - node->start);
       }
       node->sorted = true;
       return LeafSortUnits(size);
@@ -162,9 +162,9 @@ size_t IncrementalQuicksort::DoWork(size_t max_elements,
                                                  leaves),
                           [&](size_t b, size_t e) {
                             for (size_t i = b; i < e; i++) {
-                              std::sort(
-                                  data_ + pending_leaf_sorts_[i].first,
-                                  data_ + pending_leaf_sorts_[i].second);
+                              const auto& [start, end] =
+                                  pending_leaf_sorts_[i];
+                              kernels::SortLeaf(data_ + start, end - start);
                             }
                           });
     pending_leaf_sorts_.clear();

@@ -31,7 +31,8 @@ struct ScanRange {
 ///  * Each node partitions its span around a pivot with predicated
 ///    swaps; partitioning can stop mid-way and resume later.
 ///  * Nodes smaller than the L1 cache are sorted outright instead of
-///    recursing (§3.1: "we sort the entire node instead of recursing").
+///    recursing (§3.1: "we sort the entire node instead of recursing"),
+///    by kernels::SortLeaf.
 ///  * When both children of a node are sorted, the node is marked
 ///    sorted and its children pruned.
 ///
@@ -83,10 +84,12 @@ class IncrementalQuicksort {
 
   /// Sets how many work units one leaf-sort element-visit costs (the
   /// calibrated MachineConstants::sort_unit_scale). Units are priced at
-  /// swap_secs by the budget controllers; with a vectorized crack a
-  /// sort visit costs several crack steps, and charging leaves at the
-  /// calibrated ratio keeps per-query time on budget through late
-  /// refinement. 1.0 (the default) reproduces the scalar-era charging.
+  /// swap_secs by the budget controllers, and a size·log2(size) unit
+  /// of kernels::SortLeaf costs a different time than a crack step
+  /// (~0.7-0.9 crack steps on the avx512 tier; std::sort leaves cost
+  /// ~3.5-5.5), so charging leaves at the calibrated ratio keeps
+  /// per-query time on budget through late refinement. 1.0 (the
+  /// default) charges a leaf unit as one crack step.
   void set_sort_unit_scale(double scale) {
     sort_unit_scale_ = scale > 0 ? scale : 1.0;
   }

@@ -35,12 +35,8 @@ ProgressiveBucketsort::ProgressiveBucketsort(const Column& column,
   for (size_t b = 1; b < options_.bucket_count; b++) {
     boundaries_.push_back(sample[b * sample_size / options_.bucket_count]);
   }
-}
-
-size_t ProgressiveBucketsort::BucketOf(value_t v) const {
-  return static_cast<size_t>(
-      std::upper_bound(boundaries_.begin(), boundaries_.end(), v) -
-      boundaries_.begin());
+  bucket_of_ =
+      kernels::UpperBoundLookup(boundaries_.data(), boundaries_.size());
 }
 
 value_t ProgressiveBucketsort::BucketLo(size_t b) const {
@@ -161,14 +157,15 @@ size_t ProgressiveBucketsort::BuildWork(size_t units) {
   if (phase() == Phase::kCreation) {
     const size_t elems = std::min(units, n - copy_pos_);
     // Equi-height bounds need a binary search per element (no digit
-    // kernel applies). The parallel batched scatter resolves ids in
-    // concurrent chunks (the bounds are read-only), then workers append
-    // to disjoint owned bucket ranges; small slices fall back to the
-    // serial WC-staged scatter.
+    // kernel applies); a branch-free one, since the bucket of random
+    // data is unpredictable. The parallel batched scatter resolves ids
+    // in concurrent chunks (the bounds are read-only), then workers
+    // append to disjoint owned bucket ranges; small slices fall back to
+    // the serial WC-staged scatter.
     parallel::ScatterToChainsBatched(
         [this](const value_t* batch, size_t len, uint32_t* ids) {
           for (size_t i = 0; i < len; i++) {
-            ids[i] = static_cast<uint32_t>(BucketOf(batch[i]));
+            ids[i] = static_cast<uint32_t>(bucket_of_(batch[i]));
           }
         },
         column_.data() + copy_pos_, elems, buckets_.data(), buckets_.size());
@@ -258,6 +255,8 @@ bool ProgressiveBucketsort::LoadBody(persist::Reader* r) {
        (boundaries_.front() < min_ || boundaries_.back() > max_))) {
     return false;
   }
+  bucket_of_ =
+      kernels::UpperBoundLookup(boundaries_.data(), boundaries_.size());
   copy_pos_ = r->ReadU64();
   if (!r->ReadValueVector(&final_)) return false;
   const size_t n = column_.size();

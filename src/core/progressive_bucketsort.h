@@ -6,6 +6,7 @@
 
 #include "core/incremental_quicksort.h"
 #include "core/progressive_index.h"
+#include "kernels/kernels.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -35,7 +36,6 @@ class ProgressiveBucketsort : public ProgressiveIndex {
   const std::vector<value_t>& boundaries() const { return boundaries_; }
 
  private:
-  size_t BucketOf(value_t v) const;
   /// Inclusive value bounds of bucket `b`.
   value_t BucketLo(size_t b) const;
   value_t BucketHi(size_t b) const;
@@ -63,6 +63,8 @@ class ProgressiveBucketsort : public ProgressiveIndex {
   const value_t* SortedArray() const override { return final_.data(); }
 
   std::vector<value_t> boundaries_;  ///< b − 1 ascending split values
+  /// The bucket of a value: upper_bound over boundaries_, branch-free.
+  kernels::UpperBoundLookup bucket_of_;
   std::vector<BucketChain> buckets_;
   size_t copy_pos_ = 0;
 

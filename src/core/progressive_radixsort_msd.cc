@@ -5,6 +5,7 @@
 #include <limits>
 
 #include "common/predication.h"
+#include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
@@ -141,8 +142,7 @@ size_t ProgressiveRadixsortMSD::RefineFront(size_t budget) {
     const size_t size = front.chain.size();
     PROGIDX_CHECK(merged_ + size <= final_.size());
     front.chain.CopyTo(final_.data() + merged_);
-    std::sort(final_.begin() + static_cast<int64_t>(merged_),
-              final_.begin() + static_cast<int64_t>(merged_ + size));
+    kernels::SortLeaf(final_.data() + merged_, size);
     merged_ += size;
     pending_.pop_front();
     // Copy is linear but the sort costs O(size·log2(size)); charge the

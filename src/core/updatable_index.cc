@@ -44,6 +44,7 @@ void UpdatableIndex::StartMerge() {
   // Sorted tombstones make consumption a binary search per source
   // element; the used-flags keep duplicates exact (multiset deletes).
   std::sort(frozen_deleted_.begin(), frozen_deleted_.end());
+  frozen_filter_.Build(frozen_deleted_);
   tombstone_used_.assign(frozen_deleted_.size(), 0);
   tombstones_used_ = 0;
   const size_t total = base_.size() + frozen_pending_.size();
@@ -52,6 +53,16 @@ void UpdatableIndex::StartMerge() {
   merge_cursor_ = 0;
   merge_step_ = std::max<size_t>(1, (total + kMergeSteps - 1) / kMergeSteps);
   phase_ = MergePhase::kActive;
+}
+
+void UpdatableIndex::ValueFilter::Build(const std::vector<value_t>& values) {
+  log_bits_ = 6;
+  while ((size_t{1} << log_bits_) < 32 * values.size()) log_bits_++;
+  bits_.assign((size_t{1} << log_bits_) / 64, 0);
+  for (const value_t v : values) {
+    const size_t s = Slot(v);
+    bits_[s / 64] |= uint64_t{1} << (s % 64);
+  }
 }
 
 bool UpdatableIndex::ConsumeTombstone(value_t v) {
@@ -79,26 +90,15 @@ bool UpdatableIndex::TombstonesPresent() const {
   // the live appends.
   std::vector<size_t> in_source(all.size(), 0);
   std::vector<size_t> in_live(all.size(), 0);
-  // One bit per hashed tombstoned value, at least 32 bits per
-  // tombstone, screens out nearly every other element before its
+  // The filter screens out nearly every other element before its
   // binary search: a search per base element made this check cost more
   // than reading the whole snapshot.
-  int log_bits = 6;
-  while ((size_t{1} << log_bits) < 32 * all.size()) log_bits++;
-  const auto slot = [log_bits](value_t v) {
-    return static_cast<size_t>(
-        (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >> (64 - log_bits));
-  };
-  std::vector<uint64_t> filter((size_t{1} << log_bits) / 64, 0);
-  for (const value_t v : all) {
-    const size_t s = slot(v);
-    filter[s / 64] |= uint64_t{1} << (s % 64);
-  }
+  ValueFilter filter;
+  filter.Build(all);
   const auto tally = [&](const std::vector<value_t>& vals,
                          std::vector<size_t>* counts) {
     for (const value_t v : vals) {
-      const size_t s = slot(v);
-      if ((filter[s / 64] >> (s % 64) & 1) == 0) continue;
+      if (!filter.MayContain(v)) continue;
       const auto it = std::lower_bound(all.begin(), all.end(), v);
       if (it != all.end() && *it == v) (*counts)[it - all.begin()]++;
     }
@@ -142,9 +142,12 @@ size_t UpdatableIndex::CopyFromSource(size_t budget_elems) {
       const parallel::SrcRun run{src, chunk};
       parallel::CopyRunsTo(&run, 1, merged_.data() + old);
     } else {
+      // Only a filter hit pays the binary search into the tombstones.
       for (size_t i = 0; i < chunk; i++) {
         const value_t v = src[i];
-        if (!ConsumeTombstone(v)) merged_.push_back(v);
+        if (!frozen_filter_.MayContain(v) || !ConsumeTombstone(v)) {
+          merged_.push_back(v);
+        }
       }
     }
     merge_cursor_ += chunk;
@@ -315,6 +318,7 @@ bool UpdatableIndex::LoadState(persist::Reader* r) {
     return false;
   }
   merges_ = merges;
+  frozen_filter_.Build(frozen_deleted_);
   tombstone_used_.assign(frozen_deleted_.size(), 0);
   tombstones_used_ = 0;
   merged_.clear();

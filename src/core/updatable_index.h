@@ -135,6 +135,28 @@ class UpdatableIndex : public IndexBase {
   size_t AdvanceMaintenance();
   void StartMerge();
   void FinishMerge();
+  /// A hashed bit filter over a set of values, at least 32 bits per
+  /// value: MayContain never misses a value of the set and rejects
+  /// nearly every other, so it screens elements before their binary
+  /// search into sorted tombstones. Call Build before MayContain.
+  class ValueFilter {
+   public:
+    void Build(const std::vector<value_t>& values);
+    bool MayContain(value_t v) const {
+      const size_t s = Slot(v);
+      return (bits_[s / 64] >> (s % 64) & 1) != 0;
+    }
+
+   private:
+    size_t Slot(value_t v) const {
+      return static_cast<size_t>(
+          (static_cast<uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+          (64 - log_bits_));
+    }
+    int log_bits_ = 6;
+    std::vector<uint64_t> bits_;
+  };
+
   /// Copies up to `budget_elems` source elements (base, then frozen
   /// appends) into the shadow, dropping tombstoned occurrences; the
   /// tombstone-free tail rides parallel::CopyRunsTo. Returns elements
@@ -147,8 +169,8 @@ class UpdatableIndex : public IndexBase {
   /// base ∪ frozen_pending_ (the running merge's source), and
   /// frozen_deleted_ ∪ deleted_ ⊆ base ∪ frozen_pending_ ∪ pending_
   /// (what the next merge's source holds once the frozen ones are
-  /// gone). One pass over base and appends, screened by a hashed bit
-  /// filter before a binary search into the sorted tombstones.
+  /// gone). One pass over base and appends, screened by a ValueFilter
+  /// before a binary search into the sorted tombstones.
   bool TombstonesPresent() const;
   /// Adds live+frozen appends and subtracts tombstones for `q` via
   /// const serial scans (TryReadOnlyQuery, ReadOnlyScan).
@@ -176,6 +198,9 @@ class UpdatableIndex : public IndexBase {
   std::vector<value_t> frozen_deleted_;
   std::vector<uint8_t> tombstone_used_;
   size_t tombstones_used_ = 0;
+  /// Screens source elements for frozen_deleted_; built by StartMerge
+  /// and LoadState.
+  ValueFilter frozen_filter_;
   std::vector<value_t> merged_;  ///< shadow copy; invisible to queries
   size_t merge_cursor_ = 0;
   size_t merge_step_ = 0;  ///< source elements per query/batch slice

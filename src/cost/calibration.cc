@@ -104,10 +104,12 @@ double MeasureSortUnitScale(std::vector<value_t>* buffer, size_t l1_elements,
   // IncrementalQuicksort charges size·log2(size) work units per
   // sorted-outright leaf, and the budget controllers price every unit
   // at swap_secs. Measure what one such sort unit really costs —
-  // std::sort over L1-sized chunks of (still effectively random)
-  // data — relative to the crack step the constant was measured on.
-  // With the scalar crack the ratio is ~1 (which is why it used to be
-  // implicit); with the vectorized crack it is ~4-9.
+  // kernels::SortLeaf, the leaf sort the indexes run, over L1-sized
+  // chunks of (still effectively random) data — relative to the crack
+  // step the constant was measured on. On the avx512 tier the ratio
+  // is ~0.7-0.9 (it was ~3.5-5.5 while leaves ran std::sort). The
+  // values stay below 2^21, so each chunk takes 3 radix passes; a
+  // leaf of a wider column takes more and costs more per unit.
   value_t* data = buffer->data();
   const size_t n = buffer->size();
   const size_t chunk = std::max<size_t>(l1_elements, 2);
@@ -115,7 +117,7 @@ double MeasureSortUnitScale(std::vector<value_t>* buffer, size_t l1_elements,
   Timer timer;
   for (size_t start = 0; start < n; start += chunk) {
     const size_t size = std::min(chunk, n - start);
-    std::sort(data + start, data + start + size);
+    kernels::SortLeaf(data + start, size);
     size_t log2_size = 1;
     while ((size >> log2_size) > 1) log2_size++;
     units += size * log2_size;

@@ -33,11 +33,12 @@ struct MachineConstants {
   double batch_lookup_secs = 0;
   /// Cost of one leaf-sort work unit (an element visited by the
   /// sort-outright path of IncrementalQuicksort, charged size·log2 per
-  /// leaf) expressed in σ (swap) units. Was implicitly 1 while the
-  /// crack kernel was scalar — crack steps and std::sort element-visits
-  /// cost roughly the same there — but the vectorized crack is ~4-9x a
-  /// sort visit, so leaves must be charged more σ units or every
-  /// per-query budget overshoots once refinement reaches the leaves.
+  /// leaf) expressed in σ (swap) units, measured on kernels::SortLeaf.
+  /// Was implicitly 1 while the crack kernel was scalar. With the
+  /// vectorized crack, std::sort leaves cost ~3.5-5.5 σ units per
+  /// unit; the radix leaf sort costs ~0.7-0.9 on the avx512 tier.
+  /// Leaves charged at the wrong ratio push every per-query time off
+  /// budget once refinement reaches them.
   double sort_unit_scale = 1.0;
   /// Highest thread count the parallel-efficiency curve is measured at.
   static constexpr size_t kMaxThreadScale = 8;

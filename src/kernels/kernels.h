@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include "common/types.h"
 
@@ -26,6 +27,10 @@
 //   * avx512 — 8-lane masked scans, vpcompressq partitioning/crack,
 //     a write-combining scatter flushed with 512-bit streaming
 //     stores, and the same PCLMULQDQ CRC.
+//
+// Two kernels have no tiers: the leaf sort (SortLeaf) and the
+// branch-free bucket lookup (UpperBoundLookup) are portable code that
+// every tier shares.
 //
 // Which tier runs is decided once per process by Dispatch(): CPUID
 // feature detection (leaf 7 + XGETBV ZMM-state for AVX-512, and the
@@ -182,12 +187,13 @@ void RadixSortFlat(value_t* data, value_t* scratch, size_t n, value_t min_v,
 /// histogram/scatter implementations (the serial kernel contracts:
 /// `hist(src, n, base, shift, mask, counts)` adds into counts,
 /// `scatter(src, n, base, shift, mask, dst, offsets)` advances
-/// offsets). RadixSortFlat instantiates it with the dispatched kernels
-/// and parallel::RadixSortFlat with the pool composites, so the pass
-/// logic — including the dead-digit-pass skip (every element in one
-/// bucket means the scatter would be the identity permutation; common
-/// for low-entropy or clustered columns), the buffer ping-pong, and
-/// the odd-pass copy-back — lives exactly once.
+/// offsets). RadixSortFlat instantiates it with the dispatched kernels,
+/// parallel::RadixSortFlat with the pool composites and SortLeaf with
+/// two plain loops, so the pass logic — including the dead-digit-pass
+/// skip (every element in one bucket means the scatter would be the
+/// identity permutation; common for low-entropy or clustered columns),
+/// the buffer ping-pong, and the odd-pass copy-back — lives exactly
+/// once.
 template <typename HistFn, typename ScatterFn>
 void RadixSortFlatWith(value_t* data, value_t* scratch, size_t n,
                        value_t min_v, value_t max_v, const HistFn& hist,
@@ -197,16 +203,17 @@ void RadixSortFlatWith(value_t* data, value_t* scratch, size_t n,
       static_cast<uint64_t>(max_v) - static_cast<uint64_t>(min_v);
   if (width == 0) return;  // all values equal
   const int bits = 64 - __builtin_clzll(width);
+  // Dead pass: the bucket of any one key holds every element. Reading
+  // that one counter, not a max over all 256, keeps leaf-sized runs
+  // cheap.
+  const uint64_t first_key =
+      static_cast<uint64_t>(data[0]) - static_cast<uint64_t>(min_v);
   value_t* a = data;
   value_t* b = scratch;
   for (int shift = 0; shift < bits; shift += 8) {
     uint64_t counts[256] = {};
     hist(a, n, min_v, shift, 255u, counts);
-    uint64_t max_count = 0;
-    for (int d = 0; d < 256; d++) {
-      if (counts[d] > max_count) max_count = counts[d];
-    }
-    if (max_count == static_cast<uint64_t>(n)) continue;  // dead pass
+    if (counts[(first_key >> shift) & 255u] == n) continue;
     size_t offsets[256];
     size_t acc = 0;
     for (int d = 0; d < 256; d++) {
@@ -220,6 +227,44 @@ void RadixSortFlatWith(value_t* data, value_t* scratch, size_t n,
   }
   if (a != data) std::memcpy(data, a, n * sizeof(value_t));
 }
+
+/// Sorts data[0, n) ascending in place: the sort-outright leaves of
+/// the progressive indexes (L1-sized pivot-tree nodes, cache-sized MSD
+/// buckets) and the calibration that prices them. RadixSortFlatWith
+/// over the leaf's own [min, max]: an LSD radix sort on the narrowed
+/// key v − min (in uint64_t) with 8-bit digits, one counting pass and
+/// one stable scatter per byte of (max − min), skipping a pass whose
+/// digit every key shares. Up to 32 elements take std::sort. The
+/// result is the sorted permutation, so it equals std::sort's exactly.
+/// Scratch is one leaf, allocated per call, so concurrent calls on
+/// disjoint spans are safe. See docs/kernels.md.
+void SortLeaf(value_t* data, size_t n);
+
+/// std::upper_bound over a fixed ascending list of bounds, without
+/// branches: the equi-height bucket of a value. The bounds are padded
+/// with INT64_MAX to 2^k − 1 entries, so every lookup takes the same k
+/// conditional steps, and the result is clamped to the bound count
+/// (a probe of INT64_MAX would otherwise count the padding).
+class UpperBoundLookup {
+ public:
+  UpperBoundLookup() = default;
+  UpperBoundLookup(const value_t* bounds, size_t count);
+
+  /// std::upper_bound(bounds, bounds + count, v) − bounds.
+  size_t operator()(value_t v) const {
+    size_t pos = 0;
+    for (size_t step = half_; step > 0; step >>= 1) {
+      pos += step & (size_t{0} - static_cast<size_t>(
+                                     padded_[pos + step - 1] <= v));
+    }
+    return pos < count_ ? pos : count_;
+  }
+
+ private:
+  std::vector<value_t> padded_;
+  size_t count_ = 0;
+  size_t half_ = 0;  ///< the first step, 2^(k−1); 0 when count is 0
+};
 
 }  // namespace kernels
 }  // namespace progidx

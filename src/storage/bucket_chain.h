@@ -101,22 +101,9 @@ class BucketChain {
     return cursor.block >= blocks_.size();
   }
 
-  /// Reads the element at `cursor` and advances it. Must not be called
-  /// when AtEnd().
-  value_t ReadAndAdvance(Cursor* cursor) const {
-    const Block* b = blocks_[cursor->block].get();
-    const value_t v = b->values[cursor->offset++];
-    if (cursor->offset == b->count) {
-      cursor->offset = 0;
-      cursor->block++;
-    }
-    return v;
-  }
-
   /// Points `*run` at the contiguous elements from `cursor` to the end
   /// of its block and returns their number (0 when AtEnd). Lets
-  /// budgeted drains hand whole block slices to vector kernels instead
-  /// of calling ReadAndAdvance per element.
+  /// budgeted drains hand whole block slices to vector kernels.
   size_t ContiguousRun(const Cursor& cursor, const value_t** run) const {
     if (AtEnd(cursor)) return 0;
     const Block* b = blocks_[cursor.block].get();
@@ -125,8 +112,8 @@ class BucketChain {
   }
 
   /// Advances `cursor` by `k` elements; `k` must not exceed the current
-  /// ContiguousRun length. Keeps the same normalization invariant as
-  /// ReadAndAdvance (a cursor never rests at the end of a block).
+  /// ContiguousRun length. A cursor never rests at the end of a block:
+  /// reaching it moves the cursor to the next block's start.
   void Advance(Cursor* cursor, size_t k) const {
     const Block* b = blocks_[cursor->block].get();
     cursor->offset += k;
@@ -161,17 +148,6 @@ class BucketChain {
     return cursor.block * block_capacity_ + cursor.offset;
   }
 
-  /// Invokes `fn(value)` for every element from `cursor` (inclusive) to
-  /// the end, without advancing the cursor. Used to answer queries over
-  /// the not-yet-drained part of a chain.
-  template <typename Fn>
-  void ForEachFrom(const Cursor& cursor, Fn&& fn) const {
-    for (size_t bi = cursor.block; bi < blocks_.size(); bi++) {
-      const Block* b = blocks_[bi].get();
-      const size_t start = (bi == cursor.block) ? cursor.offset : 0;
-      for (size_t i = start; i < b->count; i++) fn(b->values[i]);
-    }
-  }
 
  private:
   struct Block {

@@ -529,6 +529,92 @@ TEST(KernelParityTest, RadixSortFlatHandlesExtremeDomain) {
   EXPECT_EQ(data, expected);
 }
 
+/// SortLeaf must leave exactly what std::sort leaves.
+void ExpectSortLeafMatchesStdSort(std::vector<value_t> data,
+                                  const std::string& what) {
+  std::vector<value_t> expected = data;
+  std::sort(expected.begin(), expected.end());
+  kernels::SortLeaf(data.data(), data.size());
+  EXPECT_EQ(data, expected) << what << " n=" << data.size();
+}
+
+TEST(LeafSortTest, MatchesStdSortOnEveryShape) {
+  constexpr value_t kMin = std::numeric_limits<value_t>::min();
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  // 32 is the comparison-sort cutoff; 256 and 4096 are the leaf sizes
+  // the indexes sort (MSD buckets, L1-sized quicksort nodes).
+  for (const size_t n : {0, 1, 2, 31, 32, 33, 256, 4096}) {
+    const uint64_t seed = 100 + n;
+    ExpectSortLeafMatchesStdSort(RandomData(n, seed, 0, 4095), "narrow");
+    ExpectSortLeafMatchesStdSort(RandomData(n, seed, kMin / 2, kMax / 2),
+                                 "wide");
+    ExpectSortLeafMatchesStdSort(std::vector<value_t>(n, -42), "all-equal");
+    std::vector<value_t> two = RandomData(n, seed, 0, 1);
+    for (value_t& v : two) v = v == 0 ? kMin : kMax;
+    ExpectSortLeafMatchesStdSort(two, "two-value");
+    ExpectSortLeafMatchesStdSort(RandomData(n, seed, kMin, -1),
+                                 "negative-only");
+    std::vector<value_t> sorted = RandomData(n, seed, -1000000, 1000000);
+    std::sort(sorted.begin(), sorted.end());
+    ExpectSortLeafMatchesStdSort(sorted, "sorted");
+    std::reverse(sorted.begin(), sorted.end());
+    ExpectSortLeafMatchesStdSort(sorted, "reversed");
+  }
+}
+
+TEST(LeafSortTest, FullWidthAndSharedDigits) {
+  constexpr value_t kMin = std::numeric_limits<value_t>::min();
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  for (const size_t n : {33, 256, 4096}) {
+    // INT64_MIN and INT64_MAX together: (max − min) spans all 8 bytes.
+    Rng rng(7 * n);
+    std::vector<value_t> full(n);
+    for (value_t& v : full) v = static_cast<value_t>(rng.Next());
+    full[0] = kMax;
+    full[n / 2] = kMin;
+    full[n - 1] = kMin;
+    ExpectSortLeafMatchesStdSort(full, "int64 min/max mixed");
+    // Multiples of 2^16 above a fixed high part: narrowing to v − min
+    // drops the high part, and every key shares its two low digits, so
+    // those passes are skipped.
+    std::vector<value_t> shared = RandomData(n, 11 * n, 0, 0xFFFFFF);
+    for (value_t& v : shared) v = (value_t{0x7F} << 48) | (v << 16);
+    ExpectSortLeafMatchesStdSort(shared, "shared digits");
+  }
+}
+
+TEST(UpperBoundLookupTest, MatchesStdUpperBound) {
+  constexpr value_t kMin = std::numeric_limits<value_t>::min();
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  std::vector<value_t> equi_height = RandomData(63, 5, -1000000, 1000000);
+  std::sort(equi_height.begin(), equi_height.end());
+  std::vector<value_t> hundred = RandomData(100, 6, -50, 50);
+  std::sort(hundred.begin(), hundred.end());
+  const std::vector<std::vector<value_t>> bound_sets = {
+      {},                        // one bucket
+      {0},                       // two
+      {-7, 3, 3, 3, 10},         // duplicates; six buckets
+      {kMin, kMin, 0, kMax, kMax},  // the domain's edges
+      equi_height,               // 64 buckets: no padding
+      hundred,                   // 101 buckets, many duplicates
+  };
+  for (const std::vector<value_t>& bounds : bound_sets) {
+    const kernels::UpperBoundLookup lookup(bounds.data(), bounds.size());
+    std::vector<value_t> probes = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+    for (const value_t b : bounds) {
+      probes.push_back(b);
+      if (b > kMin) probes.push_back(b - 1);
+      if (b < kMax) probes.push_back(b + 1);
+    }
+    for (const value_t v : probes) {
+      const size_t expected = static_cast<size_t>(
+          std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
+      EXPECT_EQ(lookup(v), expected)
+          << bounds.size() << " bounds, probe " << v;
+    }
+  }
+}
+
 /// Bit-at-a-time CRC-32 straight from the polynomial: an oracle that
 /// shares no table or fold with any tier.
 uint32_t BitwiseCrc32(const uint8_t* p, size_t n, uint32_t crc) {

@@ -36,6 +36,7 @@
 #include "serve/epoch.h"
 #include "serve/recovery.h"
 #include "serve/server.h"
+#include "tests/fixed_constants.h"
 #include "workload/data_generator.h"
 #include "workload/synthetic.h"
 
@@ -477,25 +478,6 @@ struct GeometryMutation {
   /// for a phase that some calibrations finish within one query.
   bool fixed_constants = false;
 };
-
-/// Fixed machine constants: the phase trajectory, and so the payloads a
-/// workload passes through, is the same on every host. Under them pq's
-/// consolidation spans several queries at δ = 0.25.
-const MachineConstants& FixedConstants() {
-  static const MachineConstants machine = [] {
-    MachineConstants m;
-    m.seq_read_secs = 1e-9;
-    m.seq_write_secs = 2e-9;
-    m.random_access_secs = 5e-8;
-    m.swap_secs = 3e-9;
-    m.alloc_secs = 1e-7;
-    m.bucket_scan_secs = 2e-9;
-    m.bucket_append_secs = 3e-9;
-    m.batch_lookup_secs = 4e-10;
-    return m;
-  }();
-  return machine;
-}
 
 const GeometryMutation kGeometryMutations[] = {
     // pq: index_ (count + n values), pivot_, copy_pos_, low_pos_,

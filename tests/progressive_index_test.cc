@@ -20,6 +20,7 @@
 #include "core/progressive_radixsort_lsd.h"
 #include "core/progressive_radixsort_msd.h"
 #include "eval/registry.h"
+#include "tests/fixed_constants.h"
 #include "workload/data_generator.h"
 
 namespace progidx {
@@ -124,7 +125,7 @@ TEST_P(ProgressiveDomainEdgeTest, AnswersMatchUnsignedOracleInEveryPhase) {
                             : FullWidthColumn(kMin + 5, kMax);
   // A small L1 makes radix buckets split and quicksort leaves stay
   // partitioned, so a 4096-row column exercises every refinement path.
-  MachineConstants machine = GlobalMachineConstants();
+  MachineConstants machine = FixedConstants();
   machine.l1_cache_elements = 64;
   ProgressiveOptions options;
   options.machine = &machine;
@@ -173,7 +174,10 @@ class ProgressiveConvergenceTest
 TEST_P(ProgressiveConvergenceTest, FractionRisesThroughConsolidation) {
   const std::string algo = GetParam();
   const Column column = MakeUniformColumn(20000, 5);
-  auto index = MakeIndex(algo, column, BudgetSpec::FixedDelta(0.02));
+  ProgressiveOptions options;
+  options.machine = &FixedConstants();
+  auto index =
+      MakeIndex(algo, column, BudgetSpec::FixedDelta(0.02), options);
   const int consolidation = PhaseCount(algo) - 2;
   Rng rng(9);
   double last = index->ConvergenceFraction();

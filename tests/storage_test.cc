@@ -94,22 +94,18 @@ TEST(BucketChainTest, CursorDrain) {
   BucketChain::Cursor cursor;
   std::vector<value_t> drained;
   while (!chain.AtEnd(cursor)) {
-    drained.push_back(chain.ReadAndAdvance(&cursor));
+    // One element per step: the cursor must cross each block end.
+    const value_t* run = nullptr;
+    ASSERT_GT(chain.ContiguousRun(cursor, &run), 0u);
+    drained.push_back(*run);
+    chain.Advance(&cursor, 1);
+    EXPECT_TRUE(chain.CursorValid(cursor));
+    if (!chain.AtEnd(cursor)) {
+      EXPECT_EQ(chain.Position(cursor), drained.size());
+    }
   }
   ASSERT_EQ(drained.size(), 11u);
   for (value_t v = 0; v < 11; v++) EXPECT_EQ(drained[v], v);
-}
-
-TEST(BucketChainTest, ForEachFromResumesMidChain) {
-  BucketChain chain(4);
-  for (value_t v = 0; v < 10; v++) chain.Append(v);
-  BucketChain::Cursor cursor;
-  for (int i = 0; i < 6; i++) chain.ReadAndAdvance(&cursor);
-  std::vector<value_t> rest;
-  chain.ForEachFrom(cursor, [&](value_t v) { rest.push_back(v); });
-  ASSERT_EQ(rest.size(), 4u);
-  EXPECT_EQ(rest.front(), 6);
-  EXPECT_EQ(rest.back(), 9);
 }
 
 TEST(BucketChainTest, ClearReleasesEverything) {
