@@ -7,12 +7,14 @@
 // of the kernel layer and writes BENCH_kernels.json (scalar vs
 // dispatched GB/s and the speedup per kernel, the CRC-32 included;
 // per-tier rows; per thread-count rows for the parallel composite
-// primitives; and the <= 64-bucket scatter shape study), so successive
-// PRs leave a perf trajectory behind.
+// primitives; the <= 64-bucket scatter shape study; and the `lanes`
+// rows, µs per call of each kept pool path by element count and lane
+// count), so successive PRs leave a perf trajectory behind.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -355,6 +357,125 @@ std::vector<const kernels::KernelOps*> SweepTiers() {
     if (std::strcmp(ops.name, name) == 0) tiers.push_back(&ops);
   }
   return tiers;
+}
+
+/// The `lanes` rows: µs per call of every thread-pool path the indexes
+/// keep (docs/parallel.md), at T = 1 (the serial kernel) and forced
+/// T = 2, 4, across the element counts a budgeted slice spans. A row
+/// whose T > 1 time is above its T = 1 time is a lane that does not
+/// pay at that size. Each timing is the mean over enough calls to
+/// touch 2^22 elements, best of `reps`, with the lane counts
+/// interleaved per rep; RadixSortFlat's input is re-copied outside the
+/// timer before every call.
+std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
+  constexpr size_t kSizes[] = {size_t{1} << 15, size_t{1} << 17,
+                               size_t{1} << 19, size_t{1} << 20,
+                               size_t{1} << 22};
+  constexpr size_t kLanes[] = {1, 2, 4};
+  constexpr size_t kMaxN = size_t{1} << 22;
+  constexpr size_t kCopyRun = 4096;
+  constexpr size_t kGatherStride = 64;
+  const kernels::KernelOps& ops = kernels::Dispatch();
+  const std::vector<value_t> data = RandomData(kMaxN, 31);
+  std::vector<value_t> dst(kMaxN);
+  std::vector<value_t> scratch(kMaxN);
+  struct Primitive {
+    const char* name;
+    /// One call on data[0, n) at `lanes` lanes (the override is set).
+    std::function<void(size_t n, size_t lanes)> call;
+    bool refill = false;
+  };
+  const std::vector<Primitive> primitives = {
+      {"RangeSumPredicated",
+       [&](size_t n, size_t lanes) {
+         const RangeQuery q{static_cast<value_t>(n / 4),
+                            static_cast<value_t>(3 * n / 4)};
+         throughput_sink =
+             parallel::RangeSumPredicatedWithLanes(data.data(), n, q, lanes)
+                 .sum;
+       }},
+      {"PartitionTwoSided",
+       [&](size_t n, size_t lanes) {
+         size_t lo = 0;
+         int64_t hi = static_cast<int64_t>(n) - 1;
+         const value_t pivot = static_cast<value_t>(n / 2);
+         if (lanes <= 1) {
+           ops.partition_two_sided(data.data(), n, pivot, dst.data(), &lo,
+                                   &hi);
+         } else {
+           parallel::PartitionTwoSided(data.data(), n, pivot, dst.data(), &lo,
+                                       &hi);
+         }
+         throughput_sink = static_cast<int64_t>(lo);
+       }},
+      {"CopyRunsTo",
+       [&](size_t n, size_t) {
+         std::vector<parallel::SrcRun> runs;
+         for (size_t b = 0; b < n; b += kCopyRun) {
+           runs.push_back({data.data() + b, std::min(kCopyRun, n - b)});
+         }
+         throughput_sink = static_cast<int64_t>(
+             parallel::CopyRunsTo(runs.data(), runs.size(), dst.data()));
+       }},
+      {"StridedGather",
+       [&](size_t n, size_t) {
+         // Every 64th key of an n-key level: the B+-tree build's gather
+         // at the default fanout.
+         parallel::StridedGather(data.data(), 0, kGatherStride,
+                                 n / kGatherStride, dst.data());
+         throughput_sink = dst[0];
+       }},
+      {"RadixSortFlat",
+       [&](size_t n, size_t) {
+         parallel::RadixSortFlat(dst.data(), scratch.data(), n, 0,
+                                 static_cast<value_t>(kMaxN - 1));
+         throughput_sink = dst[n / 2];
+       },
+       true},
+  };
+  std::string raw = "[\n";
+  bool first = true;
+  for (const Primitive& p : primitives) {
+    for (const size_t n : kSizes) {
+      const size_t calls = kMaxN / n;
+      double best[std::size(kLanes)];
+      std::fill(std::begin(best), std::end(best), 1e30);
+      for (size_t r = 0; r < reps; r++) {
+        for (size_t l = 0; l < std::size(kLanes); l++) {
+          parallel::SetLanesForTesting(kLanes[l]);
+          double secs = 0;
+          for (size_t c = 0; c < calls; c++) {
+            secs += MeasureSecsOnce(
+                [&] {
+                  if (p.refill) {
+                    std::memcpy(dst.data(), data.data(), n * sizeof(value_t));
+                  }
+                },
+                [&] { p.call(n, kLanes[l]); });
+          }
+          parallel::SetLanesForTesting(0);
+          best[l] = std::min(best[l], secs / static_cast<double>(calls));
+        }
+      }
+      for (size_t l = 0; l < std::size(kLanes); l++) {
+        bench::AppendF(&raw,
+                       "%s    {\"primitive\": \"%s\", \"elements\": %zu, "
+                       "\"lanes\": %zu, \"us_per_call\": %.2f, "
+                       "\"hardware_threads\": %u}",
+                       first ? "" : ",\n", p.name, n, kLanes[l],
+                       best[l] * 1e6, hardware_threads);
+        first = false;
+      }
+      std::printf("  lanes %-18s n=2^%-2d", p.name,
+                  static_cast<int>(std::bit_width(n) - 1));
+      for (size_t l = 0; l < std::size(kLanes); l++) {
+        std::printf("  T=%zu %10.2f us", kLanes[l], best[l] * 1e6);
+      }
+      std::printf("\n");
+    }
+  }
+  raw += "\n  ]";
+  return raw;
 }
 
 void WriteKernelThroughputJson(const char* path) {
@@ -728,6 +849,8 @@ void WriteKernelThroughputJson(const char* path) {
                  bounds.size() + 1, upper_bound_ns, branch_free_ns,
                  upper_bound_ns / branch_free_ns, hardware_threads);
   bench::UpsertJsonSection(&sections, "bucket_lookup", std::move(lookup_raw));
+  bench::UpsertJsonSection(&sections, "lanes",
+                           LaneRowsJson(kReps, hardware_threads));
   if (!bench::WriteJsonSections(path, sections)) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;

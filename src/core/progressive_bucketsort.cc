@@ -97,19 +97,13 @@ ProgressiveIndex::Prediction ProgressiveBucketsort::PredictBuild(
     const double rho = static_cast<double>(copy_pos_) / n;
     const double alpha =
         answer_est / std::max(model_.BucketScanSecs(), 1e-30);
-    double total = model_.BucketsortCreate(rho, std::min(alpha, 1.0), delta);
-    // Bucketing runs across the pool; re-price the indexing term with
-    // the measured parallel-efficiency curve.
+    const double total =
+        model_.BucketsortCreate(rho, std::min(alpha, 1.0), delta);
     const double log_b = std::log2(static_cast<double>(buckets_.size()));
-    const double bucket_term = delta * log_b * model_.BucketAppendSecs();
-    const size_t slice = static_cast<size_t>(delta * n);
-    const double bucket_threaded =
-        model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-    total += bucket_threaded - bucket_term;
     // Batch decomposition: the base-column remainder scan shares across
     // a batch; bucket chain lookups stay per query.
     return WithPrivateRemainder(
-        total, bucket_threaded,
+        total, delta * log_b * model_.BucketAppendSecs(),
         std::max(1.0 - rho - delta, 0.0) * model_.ScanSecs(),
         model_.constants().seq_read_secs);
   }
@@ -158,11 +152,9 @@ size_t ProgressiveBucketsort::BuildWork(size_t units) {
     const size_t elems = std::min(units, n - copy_pos_);
     // Equi-height bounds need a binary search per element (no digit
     // kernel applies); a branch-free one, since the bucket of random
-    // data is unpredictable. The parallel batched scatter resolves ids
-    // in concurrent chunks (the bounds are read-only), then workers
-    // append to disjoint owned bucket ranges; small slices fall back to
-    // the serial WC-staged scatter.
-    parallel::ScatterToChainsBatched(
+    // data is unpredictable. The WC-staged scatter runs on the calling
+    // thread at every lane count.
+    ScatterToChainsBatched(
         [this](const value_t* batch, size_t len, uint32_t* ids) {
           for (size_t i = 0; i < len; i++) {
             ids[i] = static_cast<uint32_t>(bucket_of_(batch[i]));

@@ -129,28 +129,22 @@ ProgressiveIndex::Prediction ProgressiveRadixsortLSD::PredictBuild(
                                 est_chain_elems_ * chain_elem, chain_elem);
   }
   const double rho = static_cast<double>(copy_pos_) / n;
-  double total = phase() == Phase::kCreation
-                     ? model_.RadixCreate(rho, std::min(alpha, 1.0), delta)
-                     : model_.RadixRefine(std::min(alpha, 1.0), delta);
-  // Bucketing and pass drains run across the pool (the chain scatter;
-  // the run-list scatter for big drain slices); re-price the indexing
-  // term with the measured parallel-efficiency curve.
+  const double total =
+      phase() == Phase::kCreation
+          ? model_.RadixCreate(rho, std::min(alpha, 1.0), delta)
+          : model_.RadixRefine(std::min(alpha, 1.0), delta);
   const double bucket_term = delta * model_.BucketAppendSecs();
-  const size_t slice = static_cast<size_t>(delta * n);
-  const double bucket_threaded =
-      model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-  total += bucket_threaded - bucket_term;
   if (phase() == Phase::kCreation) {
     // The base-column remainder scan shares across a batch; the
     // candidate chain lookups stay per query.
     return WithPrivateRemainder(
-        total, bucket_threaded,
+        total, bucket_term,
         std::max(1.0 - rho - delta, 0.0) * model_.ScanSecs(),
         model_.constants().seq_read_secs);
   }
   // The union of candidate chains scans once per batch at the chain
   // rate (exec::PredicateSet::ScanRuns).
-  return WithPrivateRemainder(total, bucket_threaded,
+  return WithPrivateRemainder(total, bucket_term,
                               est_chain_elems_ * chain_elem, chain_elem);
 }
 
@@ -159,25 +153,22 @@ size_t ProgressiveRadixsortLSD::Drain(size_t budget) {
   size_t moved = 0;
   while (moved < budget && drain_bucket_ < 64) {
     BucketChain& bucket = source_[drain_bucket_];
-    // Gather this bucket's block runs up to the remaining budget and
-    // hand them over in one call: big slices split across the pool,
-    // small ones stay serial.
+    // Gather this bucket's block runs up to the remaining budget.
     scratch_runs_.clear();
     const size_t batched = exec::CollectChainRuns(
         bucket, &drain_cursor_, budget - moved, &scratch_runs_);
-    if (batched > 0 && phase() == Phase::kMerge) {
+    if (phase() == Phase::kMerge) {
       // The final pass leaves each bucket internally ordered; merging
       // is a straight block copy into precomputed disjoint slices.
       PROGIDX_CHECK(merged_ + batched <= n);
       parallel::CopyRunsTo(scratch_runs_.data(), scratch_runs_.size(),
                            final_.data() + merged_);
       merged_ += batched;
-    } else if (batched > 0) {
-      // Digits per run concurrently, appends by bucket ownership.
-      parallel::ScatterRunsToChains(scratch_runs_.data(),
-                                    scratch_runs_.size(), min_,
-                                    static_cast<int>(6 * pass_), 63u,
-                                    dest_.data());
+    } else {
+      for (const parallel::SrcRun& run : scratch_runs_) {
+        ScatterToChains(run.data, run.len, min_, static_cast<int>(6 * pass_),
+                        63u, dest_.data());
+      }
     }
     moved += batched;
     if (bucket.AtEnd(drain_cursor_)) {
@@ -193,11 +184,9 @@ size_t ProgressiveRadixsortLSD::BuildWork(size_t units) {
   const size_t n = column_.size();
   if (phase() == Phase::kCreation) {
     const size_t elems = std::min(units, n - copy_pos_);
-    // Pass-0 bucketing via the parallel chain scatter: digits in
-    // concurrent chunks, appends split across workers by bucket
-    // ownership (small slices stay on the serial WC path).
-    parallel::ScatterToChains(column_.data() + copy_pos_, elems, min_, 0, 63u,
-                              source_.data());
+    // Pass-0 bucketing via the WC-staged chain scatter.
+    ScatterToChains(column_.data() + copy_pos_, elems, min_, 0, 63u,
+                    source_.data());
     copy_pos_ += elems;
     if (copy_pos_ == n) {
       pass_ = 1;

@@ -100,25 +100,18 @@ ProgressiveIndex::Prediction ProgressiveRadixsortMSD::PredictBuild(
     const RangeQuery& /*q*/, double answer_est, double delta) const {
   const double n = static_cast<double>(column_.size());
   const double alpha = answer_est / std::max(model_.BucketScanSecs(), 1e-30);
-  double total =
+  const double total =
       phase() == Phase::kCreation
           ? model_.RadixCreate(static_cast<double>(copy_pos_) / n,
                                std::min(alpha, 1.0), delta)
           : model_.RadixRefine(std::min(alpha, 1.0), delta);
-  // Root bucketing and bucket splits run across the pool (the chain
-  // scatter; the run-list scatter for big split slices); re-price the
-  // indexing term with the measured parallel-efficiency curve.
   const double bucket_term = delta * model_.BucketAppendSecs();
-  const size_t slice = static_cast<size_t>(delta * n);
-  const double bucket_threaded =
-      model_.ThreadedSecs(bucket_term, parallel::PlannedLanes(slice));
-  total += bucket_threaded - bucket_term;
   if (phase() == Phase::kCreation) {
     // The base-column remainder scan shares across a batch; root-bucket
     // chain lookups stay per query.
     const double rho = static_cast<double>(copy_pos_) / n;
     return WithPrivateRemainder(
-        total, bucket_threaded,
+        total, bucket_term,
         std::max(1.0 - rho - delta, 0.0) * model_.ScanSecs(),
         model_.constants().seq_read_secs);
   }
@@ -126,7 +119,7 @@ ProgressiveIndex::Prediction ProgressiveRadixsortMSD::PredictBuild(
   // (exec::PredicateSet::ScanRuns); the binary search and the
   // sorted-prefix matched scan stay per query.
   const double chain_elem = model_.BucketScanSecs() / n;
-  return WithPrivateRemainder(total, bucket_threaded,
+  return WithPrivateRemainder(total, bucket_term,
                               est_chain_elems_ * chain_elem, chain_elem);
 }
 
@@ -162,21 +155,18 @@ size_t ProgressiveRadixsortMSD::RefineFront(size_t budget) {
     }
     front.cursor = BucketChain::Cursor{};
   }
-  // Gather the split's block runs up to the budget and scatter them in
-  // one call (child index = (v − lo_value) >> child_shift, always
+  // Gather the split's block runs up to the budget and scatter them
+  // run by run (child index = (v − lo_value) >> child_shift, always
   // < child_count; the mask is the identity on it, as root_mask_ is
   // for the root scatter, and keeps ids inside the children even for
-  // a chain value outside the bucket): big slices split across the
-  // pool — digits per run concurrently, appends by child-bucket
-  // ownership — small ones run the serial kernel per run.
+  // a chain value outside the bucket).
   scratch_runs_.clear();
   const size_t moved = exec::CollectChainRuns(front.chain, &front.cursor,
                                               budget, &scratch_runs_);
-  if (moved > 0) {
-    parallel::ScatterRunsToChains(
-        scratch_runs_.data(), scratch_runs_.size(), front.lo_value,
-        child_shift, static_cast<uint32_t>(child_count - 1),
-        front.children.data());
+  for (const parallel::SrcRun& run : scratch_runs_) {
+    ScatterToChains(run.data, run.len, front.lo_value, child_shift,
+                    static_cast<uint32_t>(child_count - 1),
+                    front.children.data());
   }
   if (front.chain.AtEnd(front.cursor)) {
     // Split complete: replace the front bucket by its non-empty
@@ -214,14 +204,12 @@ size_t ProgressiveRadixsortMSD::BuildWork(size_t units) {
     return std::max(used, size_t{1});
   }
   const size_t elems = std::min(units, n - copy_pos_);
-  // Root bucketing through the parallel chain scatter (digits in
-  // concurrent chunks, appends by bucket ownership). root_mask_ is the
+  // Root bucketing through the chain scatter. root_mask_ is the
   // identity on every id (the domain bounds the shifted value below
   // 2^radix_bits), but its width tells the scatter how many chains
-  // exist — enabling both WC staging on the serial path and the
-  // ownership split on the parallel one.
-  parallel::ScatterToChains(column_.data() + copy_pos_, elems, min_,
-                            root_shift_, root_mask_, root_buckets_.data());
+  // exist, which enables its WC staging.
+  ScatterToChains(column_.data() + copy_pos_, elems, min_, root_shift_,
+                  root_mask_, root_buckets_.data());
   copy_pos_ += elems;
   if (copy_pos_ == n) {
     // Creation done: seed the refinement worklist with the root buckets

@@ -235,136 +235,6 @@ void RadixSortFlat(value_t* data, value_t* scratch, size_t n, value_t min_v,
       });
 }
 
-namespace detail {
-
-uint32_t* ScratchIds(size_t n) {
-  static thread_local std::vector<uint32_t> buf;
-  if (buf.size() < n) buf.resize(n);
-  return buf.data();
-}
-
-void OwnerScatterRunsToChains(const SrcRun* runs, size_t num_runs,
-                              const uint32_t* ids, BucketChain* chains,
-                              size_t num_chains, size_t lanes) {
-  lanes = std::min(lanes, num_chains);
-  if (lanes <= 1) {
-    size_t k = 0;
-    for (size_t r = 0; r < num_runs; r++) {
-      for (size_t i = 0; i < runs[r].len; i++, k++) {
-        chains[ids[k]].Append(runs[r].data[i]);
-      }
-    }
-    return;
-  }
-  // Each lane owns a contiguous chain range and appends only its own
-  // elements, walking the full id stream in source order: appends per
-  // chain are identical to the serial scatter (content *and* block
-  // layout — AppendRun fills blocks exactly like repeated Append), and
-  // no two lanes ever touch the same chain, so the write-combining
-  // staging below is race-free without locks. The redundant id walk
-  // (lanes x total 4-byte reads) is the price of determinism; it is a
-  // fraction of the append traffic it parallelizes.
-  ParallelFor(0, lanes, 1, lanes, [&](size_t w, size_t) {
-    const size_t first = w * num_chains / lanes;
-    const size_t last = (w + 1) * num_chains / lanes;
-    // Per-lane WC staging, mirroring ScatterToChainsBatched: 256 B per
-    // owned chain, flushed block-wise with AppendRun, so the
-    // per-element work is a buffer store instead of a full Append
-    // against a far tail line. thread_local resolves per executing
-    // worker — each lane gets its own table.
-    constexpr size_t kWcSlots = 32;
-    constexpr size_t kWcMaxChains = 256;
-    struct WcTable {
-      alignas(64) value_t buf[kWcMaxChains * kWcSlots];
-      uint32_t fill[kWcMaxChains];
-    };
-    static thread_local WcTable wc;
-    const size_t owned = last - first;
-    const bool stage = owned > 0 && owned <= kWcMaxChains;
-    if (stage) {
-      for (size_t d = 0; d < owned; d++) wc.fill[d] = 0;
-    }
-    size_t k = 0;
-    for (size_t r = 0; r < num_runs; r++) {
-      const value_t* data = runs[r].data;
-      const size_t len = runs[r].len;
-      for (size_t i = 0; i < len; i++, k++) {
-        const uint32_t d = ids[k];
-        if (d < first || d >= last) continue;
-        if (!stage) {
-          chains[d].Append(data[i]);
-          continue;
-        }
-        const size_t slot = d - first;
-        value_t* buf = wc.buf + slot * kWcSlots;
-        uint32_t f = wc.fill[slot];
-        buf[f++] = data[i];
-        if (f == kWcSlots) {
-          chains[d].AppendRun(buf, kWcSlots);
-          f = 0;
-        }
-        wc.fill[slot] = f;
-      }
-    }
-    if (stage) {
-      for (size_t d = 0; d < owned; d++) {
-        if (wc.fill[d] != 0) {
-          chains[first + d].AppendRun(wc.buf + d * kWcSlots, wc.fill[d]);
-        }
-      }
-    }
-  });
-}
-
-}  // namespace detail
-
-void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
-                     uint32_t mask, BucketChain* chains) {
-  const size_t lanes = PlannedLanes(n);
-  if (lanes <= 1) {
-    progidx::ScatterToChains(src, n, base, shift, mask, chains);
-    return;
-  }
-  const kernels::KernelOps& ops = kernels::Dispatch();
-  uint32_t* ids = detail::ScratchIds(n);
-  ParallelFor(0, n, kScatterChunk, lanes, [&](size_t b, size_t e) {
-    ops.compute_digits(src + b, e - b, base, shift, mask, ids + b);
-  });
-  const SrcRun run{src, n};
-  detail::OwnerScatterRunsToChains(&run, 1, ids, chains,
-                                   static_cast<size_t>(mask) + 1, lanes);
-}
-
-void ScatterRunsToChains(const SrcRun* runs, size_t num_runs, value_t base,
-                         int shift, uint32_t mask, BucketChain* chains) {
-  size_t total = 0;
-  for (size_t r = 0; r < num_runs; r++) total += runs[r].len;
-  const size_t lanes = PlannedLanes(total);
-  if (lanes <= 1) {
-    for (size_t r = 0; r < num_runs; r++) {
-      progidx::ScatterToChains(runs[r].data, runs[r].len, base, shift, mask,
-                               chains);
-    }
-    return;
-  }
-  const kernels::KernelOps& ops = kernels::Dispatch();
-  uint32_t* ids = detail::ScratchIds(total);
-  std::vector<size_t> run_off(num_runs);
-  size_t acc = 0;
-  for (size_t r = 0; r < num_runs; r++) {
-    run_off[r] = acc;
-    acc += runs[r].len;
-  }
-  ParallelFor(0, num_runs, 1, lanes, [&](size_t rb, size_t re) {
-    for (size_t r = rb; r < re; r++) {
-      ops.compute_digits(runs[r].data, runs[r].len, base, shift, mask,
-                         ids + run_off[r]);
-    }
-  });
-  detail::OwnerScatterRunsToChains(runs, num_runs, ids, chains,
-                                   static_cast<size_t>(mask) + 1, lanes);
-}
-
 size_t CopyRunsTo(const SrcRun* runs, size_t num_runs, value_t* dst) {
   size_t total = 0;
   for (size_t r = 0; r < num_runs; r++) total += runs[r].len;

@@ -12,12 +12,13 @@
 // tiers (kernels/kernels.h): each one splits its input into chunks,
 // runs the *dispatched* kernel per chunk on the pool, and recombines
 // deterministically. Results are bit-identical to the serial kernel for
-// every lane count — sums are exact mod 2^64, partition and scatter
-// chunks land in precomputed disjoint output slices, and chain appends
-// preserve source order — so the progressive indexes can split a
-// per-query indexing budget across workers without their state ever
-// depending on the thread count (the parity tests in
-// tests/parallel_test.cc enforce exactly this for T in {1, 2, 4, 8}).
+// every lane count — sums are exact mod 2^64, and partition, scatter
+// and copy chunks land in precomputed disjoint output slices — so the
+// progressive indexes can split a per-query indexing budget across
+// workers without their state ever depending on the thread count (the
+// parity tests in tests/parallel_test.cc enforce exactly this for T in
+// {1, 2, 4, 8}). Only paths that measured faster on real cores are
+// here; the bucket-chain appends stay serial (docs/parallel.md).
 //
 // Every primitive falls back to the serial kernel below a size
 // threshold (or when only one lane is configured), so small budgeted
@@ -26,9 +27,11 @@
 namespace progidx {
 namespace parallel {
 
-/// Inputs below these element counts stay on the serial kernels: a
-/// 32 Ki-element scan is ~25 us of memory traffic, about where the
-/// pool's wake/join cost stops mattering.
+/// Inputs below this element count stay on the serial kernels. It is
+/// a floor, not the break-even: a 32 Ki-element scan takes ~5-7 us on
+/// one lane and ~11-16 us on two to four (the `lanes` rows of
+/// BENCH_kernels.json, 4-vCPU Xeon), and scans lose at four lanes up
+/// to ~128 Ki elements.
 constexpr size_t kMinParallelElements = size_t{1} << 15;
 
 /// Fixed chunk geometry. Chunk boundaries never depend on the lane
@@ -36,7 +39,6 @@ constexpr size_t kMinParallelElements = size_t{1} << 15;
 /// recombination bit-deterministic across T.
 constexpr size_t kScanGrain = size_t{1} << 14;
 constexpr size_t kPartitionChunk = size_t{1} << 15;
-constexpr size_t kScatterChunk = size_t{1} << 14;
 
 /// Lanes a primitive will actually use for an input of `n` elements
 /// (1 when the serial fast path applies). The cost model prices a
@@ -96,9 +98,9 @@ void RadixSortFlat(value_t* data, value_t* scratch, size_t n, value_t min_v,
                    value_t max_v);
 
 /// A contiguous source slice: `len` elements at `data`. The run-list
-/// scatters and copies below consume lists of them (the budgeted
-/// bucket drains hand over block runs from BucketChain cursors,
-/// gathered by exec::CollectChainRuns), and so does the batch
+/// copy below consumes lists of them (the budgeted bucket drains hand
+/// over block runs from BucketChain cursors, gathered by
+/// exec::CollectChainRuns), and so does the batch
 /// executor's PredicateSet::ScanRuns — bucket-chain block runs,
 /// cracked pieces, B+-tree leaf runs scanned as one logical sequence.
 struct SrcRun {
@@ -106,20 +108,10 @@ struct SrcRun {
   size_t len = 0;
 };
 
-/// Parallel radix scatter into bucket chains: digits are computed in
-/// parallel, then each worker *owns* a disjoint contiguous range of
-/// destination chains and appends only its own elements (in source
-/// order), so chain contents, block layout, and append order are
-/// bit-identical to the serial ScatterToChains for every lane count —
-/// and the per-chain append path stays entirely race-free.
-void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
-                     uint32_t mask, BucketChain* chains);
-
-/// Run-list variant for budgeted drains (Progressive Radixsort LSD
-/// passes, MSD splits): scatters runs[0], runs[1], ... in order, as if
-/// concatenated.
-void ScatterRunsToChains(const SrcRun* runs, size_t num_runs, value_t base,
-                         int shift, uint32_t mask, BucketChain* chains);
+/// The serial radix chain scatter (storage/bucket_chain.h) under the
+/// name perfbench's layer probe calls; nothing in src/ uses it. Delete
+/// once that call names progidx::ScatterToChains (ROADMAP item 7).
+using progidx::ScatterToChains;
 
 /// Lays runs[0], runs[1], ... end-to-end at `dst` (block memcpys) and
 /// returns the total elements copied. Large totals split across the
@@ -136,41 +128,6 @@ size_t CopyRunsTo(const SrcRun* runs, size_t num_runs, value_t* dst);
 /// parallel threshold; trivially deterministic (disjoint dst slots).
 void StridedGather(const value_t* src, size_t start, size_t stride,
                    size_t count, value_t* dst);
-
-namespace detail {
-/// Owner-parallel append phase shared by the chain scatters:
-/// ids[i] < num_chains is the destination of src element i (src given
-/// as a run list; ids indexes the runs' concatenation); each lane
-/// appends the elements of its owned chain range, in global source
-/// order.
-void OwnerScatterRunsToChains(const SrcRun* runs, size_t num_runs,
-                              const uint32_t* ids, BucketChain* chains,
-                              size_t num_chains, size_t lanes);
-/// Scratch id buffer reused across calls (grows, never shrinks).
-uint32_t* ScratchIds(size_t n);
-}  // namespace detail
-
-/// Parallel ScatterToChainsBatched: `fill_ids(batch, len, ids)` must be
-/// callable concurrently on disjoint batches (a const binary search —
-/// Progressive Bucketsort's equi-height bounds — qualifies). Ids are
-/// resolved in parallel chunks, then the owner-parallel append phase
-/// runs as in ScatterToChains. Falls back to the serial
-/// ScatterToChainsBatched below the parallel threshold.
-template <typename FillIds>
-void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
-                            BucketChain* chains, size_t num_chains) {
-  const size_t lanes = PlannedLanes(n);
-  if (lanes <= 1 || num_chains == 0) {
-    progidx::ScatterToChainsBatched(fill_ids, src, n, chains, num_chains);
-    return;
-  }
-  uint32_t* ids = detail::ScratchIds(n);
-  ParallelFor(0, n, kScatterChunk, lanes, [&](size_t b, size_t e) {
-    fill_ids(src + b, e - b, ids + b);
-  });
-  const SrcRun run{src, n};
-  detail::OwnerScatterRunsToChains(&run, 1, ids, chains, num_chains, lanes);
-}
 
 }  // namespace parallel
 }  // namespace progidx

@@ -143,11 +143,12 @@ class BucketChain {
     return cursor.offset < blocks_[cursor.block]->count;
   }
   /// Elements before a valid `cursor` (the drained prefix): every block
-  /// but the tail is full.
+  /// but the tail is full, and the end cursor has drained them all
+  /// (block × capacity there would overcount a partial tail).
   size_t Position(const Cursor& cursor) const {
+    if (AtEnd(cursor)) return size_;
     return cursor.block * block_capacity_ + cursor.offset;
   }
-
 
  private:
   struct Block {
@@ -232,9 +233,10 @@ void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
 /// Scatters src[0, n) into chains[((v − base) >> shift) & mask], with
 /// the ids resolved by the dispatched vector digit kernel; `chains`
 /// must hold mask + 1 entries. This is the radix bucket-scatter shared
-/// by Progressive Radixsort MSD (root bucketing and splits) and LSD
-/// (creation and per-pass drains); Progressive Bucketsort uses
-/// ScatterToChainsBatched directly with its equi-height binary search.
+/// by Progressive Radixsort MSD (root bucketing and splits, one call
+/// per drained block run) and LSD (creation and per-pass drains, the
+/// same); Progressive Bucketsort uses ScatterToChainsBatched directly
+/// with its equi-height lookup. Both run on the calling thread.
 void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
                      uint32_t mask, BucketChain* chains);
 

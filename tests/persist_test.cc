@@ -435,14 +435,17 @@ size_t SkipChain(const std::string& s, size_t offset) {
   return offset;
 }
 
-/// Offset of pb's merge_bucket_, which follows min_, max_, the
-/// boundaries, copy_pos_, final_ and the bucket chains.
-size_t PbMergeBucketOffset(const std::string& s, size_t n) {
-  size_t offset = 48 + 8 * GetU64(s, 24) + 8 * n;
-  const size_t buckets = GetU64(s, offset);
-  offset += 8;
-  for (size_t b = 0; b < buckets; b++) offset = SkipChain(s, offset);
+/// Offset of pb's bucket chain `b`. The chains follow min_, max_, the
+/// boundaries, copy_pos_, final_ and the chain count.
+size_t PbChainOffset(const std::string& s, size_t n, size_t b) {
+  size_t offset = 56 + 8 * GetU64(s, 24) + 8 * n;
+  for (size_t i = 0; i < b; i++) offset = SkipChain(s, offset);
   return offset;
+}
+
+/// Offset of pb's merge_bucket_, which follows the last chain.
+size_t PbMergeBucketOffset(const std::string& s, size_t n) {
+  return PbChainOffset(s, n, GetU64(s, 48 + 8 * GetU64(s, 24) + 8 * n));
 }
 
 /// Offset of the B+-tree tail of a consolidation or done payload: n,
@@ -570,9 +573,10 @@ const GeometryMutation kGeometryMutations[] = {
      }},
     // pb: min_, max_, boundaries_ (count + values), copy_pos_, final_,
     // the bucket chains, then merge_bucket_, sorted_end_, fill_pos_,
-    // filling_. No boundaries would send BucketHi past the end of the
-    // vector; a fill position past the drained elements would make the
-    // next fill write past final_.
+    // filling_, fill_cursor_ (block, offset). No boundaries would send
+    // BucketHi past the end of the vector; a fill position past the
+    // drained elements would make the next fill write past final_, or
+    // sort final_ slots the bucket never filled into its sorted prefix.
     {"pb_no_boundaries", "pb", 0,
      [](std::string* s, size_t) {
        const size_t count = GetU64(*s, 24);
@@ -590,6 +594,26 @@ const GeometryMutation kGeometryMutations[] = {
        const size_t merge_bucket = PbMergeBucketOffset(*s, n);
        if (GetU64(*s, merge_bucket + 24) == 0) return false;  // not filling
        PutU64(s, merge_bucket + 16, n);
+       return true;
+     }},
+    {"pb_fill_cursor_at_chain_end", "pb", 1,
+     [](std::string* s, size_t n) {
+       const size_t merge_bucket = PbMergeBucketOffset(*s, n);
+       if (GetU64(*s, merge_bucket + 24) == 0) return false;  // not filling
+       // The end cursor of an active chain with a partial tail block,
+       // with fill_pos_ block × capacity past sorted_end_: more elements
+       // than the chain holds.
+       const size_t chain = PbChainOffset(*s, n, GetU64(*s, merge_bucket));
+       const size_t capacity = GetU64(*s, chain);
+       const size_t size = GetU64(*s, chain + 8);
+       const size_t blocks = (size + capacity - 1) / capacity;
+       const size_t sorted_end = GetU64(*s, merge_bucket + 8);
+       if (size % capacity == 0 || sorted_end + blocks * capacity > n) {
+         return false;
+       }
+       PutU64(s, merge_bucket + 16, sorted_end + blocks * capacity);
+       PutU64(s, merge_bucket + 32, blocks);
+       PutU64(s, merge_bucket + 40, 0);
        return true;
      }},
     // The B+-tree tail every index shares, taken from converged
