@@ -359,14 +359,42 @@ std::vector<const kernels::KernelOps*> SweepTiers() {
   return tiers;
 }
 
+/// One predicated sum of data[0, n) over [n/4, 3n/4] at `lanes` lanes
+/// (T = 1 is the serial dispatched kernel). Both per-lane sweeps call
+/// this: `threads` at 2^22 elements, `lanes` below that.
+int64_t RangeSumAtLanes(const value_t* data, size_t n, size_t lanes) {
+  const RangeQuery q{static_cast<value_t>(n / 4),
+                     static_cast<value_t>(3 * n / 4)};
+  return parallel::RangeSumPredicatedWithLanes(data, n, q, lanes).sum;
+}
+
+/// One two-sided partition of data[0, n) around n/2 into `dst`: the
+/// serial dispatched kernel at one lane, the chunked composite at the
+/// lane count the caller has forced otherwise. Returns the low side's
+/// size. Shared by both per-lane sweeps, like RangeSumAtLanes.
+int64_t PartitionAtLanes(const value_t* data, size_t n, size_t lanes,
+                         value_t* dst) {
+  size_t lo = 0;
+  int64_t hi = static_cast<int64_t>(n) - 1;
+  const value_t pivot = static_cast<value_t>(n / 2);
+  if (lanes <= 1) {
+    kernels::Dispatch().partition_two_sided(data, n, pivot, dst, &lo, &hi);
+  } else {
+    parallel::PartitionTwoSided(data, n, pivot, dst, &lo, &hi);
+  }
+  return static_cast<int64_t>(lo);
+}
+
 /// The `lanes` rows: µs per call of every thread-pool path the indexes
 /// keep (docs/parallel.md), at T = 1 (the serial kernel) and forced
 /// T = 2, 4, across the element counts a budgeted slice spans. A row
 /// whose T > 1 time is above its T = 1 time is a lane that does not
 /// pay at that size. Each timing is the mean over enough calls to
 /// touch 2^22 elements, best of `reps`, with the lane counts
-/// interleaved per rep; RadixSortFlat's input is re-copied outside the
-/// timer before every call.
+/// interleaved per rep; RadixSortFlat's input is re-copied and the
+/// bucket chains are emptied outside the timer before every call. The
+/// scan and the partition stop at 2^20: the `threads` rows already time
+/// them at 2^22.
 std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
   constexpr size_t kSizes[] = {size_t{1} << 15, size_t{1} << 17,
                                size_t{1} << 19, size_t{1} << 20,
@@ -375,39 +403,36 @@ std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
   constexpr size_t kMaxN = size_t{1} << 22;
   constexpr size_t kCopyRun = 4096;
   constexpr size_t kGatherStride = 64;
-  const kernels::KernelOps& ops = kernels::Dispatch();
   const std::vector<value_t> data = RandomData(kMaxN, 31);
   std::vector<value_t> dst(kMaxN);
   std::vector<value_t> scratch(kMaxN);
+  // Progressive Bucketsort's bucketing: 64 equi-height chains of the
+  // uniform data, found by the branch-free lookup.
+  std::vector<value_t> bounds(63);
+  for (size_t i = 0; i < bounds.size(); i++) {
+    bounds[i] = static_cast<value_t>((i + 1) * kMaxN / 64);
+  }
+  const kernels::UpperBoundLookup lookup(bounds.data(), bounds.size());
+  std::vector<BucketChain> chains(bounds.size() + 1);
   struct Primitive {
     const char* name;
     /// One call on data[0, n) at `lanes` lanes (the override is set).
     std::function<void(size_t n, size_t lanes)> call;
-    bool refill = false;
+    /// Runs outside the timer before every call, when set.
+    std::function<void(size_t n)> prepare = nullptr;
+    size_t max_elements = kMaxN;
   };
   const std::vector<Primitive> primitives = {
       {"RangeSumPredicated",
        [&](size_t n, size_t lanes) {
-         const RangeQuery q{static_cast<value_t>(n / 4),
-                            static_cast<value_t>(3 * n / 4)};
-         throughput_sink =
-             parallel::RangeSumPredicatedWithLanes(data.data(), n, q, lanes)
-                 .sum;
-       }},
+         throughput_sink = RangeSumAtLanes(data.data(), n, lanes);
+       },
+       nullptr, size_t{1} << 20},
       {"PartitionTwoSided",
        [&](size_t n, size_t lanes) {
-         size_t lo = 0;
-         int64_t hi = static_cast<int64_t>(n) - 1;
-         const value_t pivot = static_cast<value_t>(n / 2);
-         if (lanes <= 1) {
-           ops.partition_two_sided(data.data(), n, pivot, dst.data(), &lo,
-                                   &hi);
-         } else {
-           parallel::PartitionTwoSided(data.data(), n, pivot, dst.data(), &lo,
-                                       &hi);
-         }
-         throughput_sink = static_cast<int64_t>(lo);
-       }},
+         throughput_sink = PartitionAtLanes(data.data(), n, lanes, dst.data());
+       },
+       nullptr, size_t{1} << 20},
       {"CopyRunsTo",
        [&](size_t n, size_t) {
          std::vector<parallel::SrcRun> runs;
@@ -431,12 +456,29 @@ std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
                                  static_cast<value_t>(kMaxN - 1));
          throughput_sink = dst[n / 2];
        },
-       true},
+       [&](size_t n) {
+         std::memcpy(dst.data(), data.data(), n * sizeof(value_t));
+       }},
+      {"ScatterToChainsBatched",
+       [&](size_t n, size_t) {
+         parallel::ScatterToChainsBatched(
+             [&](const value_t* batch, size_t len, uint32_t* ids) {
+               for (size_t i = 0; i < len; i++) {
+                 ids[i] = static_cast<uint32_t>(lookup(batch[i]));
+               }
+             },
+             data.data(), n, chains.data(), chains.size());
+         throughput_sink = static_cast<int64_t>(chains[0].size());
+       },
+       [&](size_t) {
+         for (BucketChain& c : chains) c.Clear();
+       }},
   };
   std::string raw = "[\n";
   bool first = true;
   for (const Primitive& p : primitives) {
     for (const size_t n : kSizes) {
+      if (n > p.max_elements) continue;
       const size_t calls = kMaxN / n;
       double best[std::size(kLanes)];
       std::fill(std::begin(best), std::end(best), 1e30);
@@ -447,9 +489,7 @@ std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
           for (size_t c = 0; c < calls; c++) {
             secs += MeasureSecsOnce(
                 [&] {
-                  if (p.refill) {
-                    std::memcpy(dst.data(), data.data(), n * sizeof(value_t));
-                  }
+                  if (p.prepare) p.prepare(n);
                 },
                 [&] { p.call(n, kLanes[l]); });
           }
@@ -592,30 +632,16 @@ void WriteKernelThroughputJson(const char* path) {
   const size_t kThreadCounts[] = {1, 2, 4, 8};
   auto rs_at = [&](size_t t) {
     return MeasureSecsOnce(nop, [&] {
-      throughput_sink =
-          parallel::RangeSumPredicatedWithLanes(data.data(), kN, q, t).sum;
+      throughput_sink = RangeSumAtLanes(data.data(), kN, t);
     });
   };
   auto partition_at = [&](size_t t) {
-    return MeasureSecsOnce(nop, [&] {
-      if (t <= 1) {
-        size_t lo = 0;
-        int64_t hi = static_cast<int64_t>(kN) - 1;
-        active.partition_two_sided(data.data(), kN,
-                                   static_cast<value_t>(kN / 2), dst.data(),
-                                   &lo, &hi);
-        throughput_sink = static_cast<int64_t>(lo);
-      } else {
-        parallel::SetLanesForTesting(t);
-        size_t lo = 0;
-        int64_t hi = static_cast<int64_t>(kN) - 1;
-        parallel::PartitionTwoSided(data.data(), kN,
-                                    static_cast<value_t>(kN / 2), dst.data(),
-                                    &lo, &hi);
-        parallel::SetLanesForTesting(0);
-        throughput_sink = static_cast<int64_t>(lo);
-      }
+    parallel::SetLanesForTesting(t);
+    const double secs = MeasureSecsOnce(nop, [&] {
+      throughput_sink = PartitionAtLanes(data.data(), kN, t, dst.data());
     });
+    parallel::SetLanesForTesting(0);
+    return secs;
   };
   auto scatter_at = [&](size_t t) {
     return MeasureSecsOnce(nop, [&] {

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "kernels/kernels.h"
+#include "parallel/thread_pool.h"
 #include "persist/io.h"
 
 namespace progidx {
@@ -110,7 +111,11 @@ size_t IncrementalQuicksort::WorkOn(Node* node, size_t budget,
       // the sort that runs here; without the ratio, per-query times
       // drift off the indexing budget whenever refinement reaches the
       // leaves).
-      kernels::SortLeaf(data_ + node->start, size);
+      if (defer_leaf_sorts_) {
+        pending_leaf_sorts_.emplace_back(node->start, node->end);
+      } else {
+        kernels::SortLeaf(data_ + node->start, node->end - node->start);
+      }
       node->sorted = true;
       return LeafSortUnits(size);
     }
@@ -142,7 +147,29 @@ size_t IncrementalQuicksort::WorkOn(Node* node, size_t budget,
 size_t IncrementalQuicksort::DoWork(size_t max_elements,
                                     const RangeQuery& hint) {
   if (root_ == nullptr || root_->sorted || max_elements == 0) return 0;
-  return WorkOn(root_.get(), max_elements, hint, /*use_hint=*/true, 1);
+  // With more than one lane configured, the traversal defers its leaf
+  // sorts (disjoint spans, each fully sorted afterwards) and flushes
+  // them concurrently — per-leaf task granularity over the pool's
+  // chunk-claiming loop. Selection order, charged units, and the final
+  // array are identical to the serial path.
+  defer_leaf_sorts_ = parallel::EffectiveLanes() > 1;
+  const size_t used = WorkOn(root_.get(), max_elements, hint,
+                             /*use_hint=*/true, 1);
+  defer_leaf_sorts_ = false;
+  if (!pending_leaf_sorts_.empty()) {
+    const size_t leaves = pending_leaf_sorts_.size();
+    parallel::ParallelFor(0, leaves, 1, std::min(parallel::EffectiveLanes(),
+                                                 leaves),
+                          [&](size_t b, size_t e) {
+                            for (size_t i = b; i < e; i++) {
+                              const auto& [start, end] =
+                                  pending_leaf_sorts_[i];
+                              kernels::SortLeaf(data_ + start, end - start);
+                            }
+                          });
+    pending_leaf_sorts_.clear();
+  }
+  return used;
 }
 
 size_t IncrementalQuicksort::LeafSortUnits(size_t size) const {
@@ -287,6 +314,8 @@ bool IncrementalQuicksort::LoadState(persist::Reader* r, value_t* data,
     return false;
   }
   data_ = data;
+  pending_leaf_sorts_.clear();
+  defer_leaf_sorts_ = false;
   return LoadNode(r, &root_) && r->ok();
 }
 

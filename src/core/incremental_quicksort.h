@@ -64,8 +64,13 @@ class IncrementalQuicksort {
   /// required for query processing". Returns units consumed; may
   /// overshoot slightly when finishing an L1-sized node sort.
   ///
-  /// Runs on the calling thread at every lane count: each leaf is
-  /// sorted in place when the traversal reaches it.
+  /// When the parallel subsystem is configured with more than one lane,
+  /// the sort-outright leaves selected by one DoWork call are sorted
+  /// concurrently on the thread pool (the leaves are disjoint spans and
+  /// each ends fully sorted, so the resulting array — and the charged
+  /// units — are bit-identical to the serial order for any lane count).
+  /// Partitioning work stays sequential: it is resumable mid-node and
+  /// its budget accounting is inherently ordered.
   size_t DoWork(size_t max_elements, const RangeQuery& hint);
 
   /// Work units (element visits x sort_unit_scale) of the next atomic
@@ -104,7 +109,7 @@ class IncrementalQuicksort {
 
   /// Serializes the pivot tree and resumable partition cursors in
   /// preorder (docs/recovery.md). Must only be called between DoWork
-  /// calls.
+  /// calls (pending_leaf_sorts_ is empty then, by invariant).
   void SaveState(persist::Writer* w) const;
   /// Restores a sort saved by SaveState, rebinding it to `data[0, n)`
   /// (the owning index's reloaded array). Returns false on a corrupt
@@ -153,6 +158,11 @@ class IncrementalQuicksort {
   double sort_unit_scale_ = 1.0;
   std::unique_ptr<Node> root_;
   size_t height_ = 0;
+  /// Leaf spans selected (and already marked sorted) by the current
+  /// DoWork traversal, flushed — possibly in parallel — before DoWork
+  /// returns. Empty between calls.
+  std::vector<std::pair<size_t, size_t>> pending_leaf_sorts_;
+  bool defer_leaf_sorts_ = false;
 };
 
 }  // namespace progidx

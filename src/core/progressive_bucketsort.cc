@@ -97,6 +97,9 @@ ProgressiveIndex::Prediction ProgressiveBucketsort::PredictBuild(
     const double rho = static_cast<double>(copy_pos_) / n;
     const double alpha =
         answer_est / std::max(model_.BucketScanSecs(), 1e-30);
+    // Priced serial at every lane count: the pool resolves only the
+    // bucket lookups, and the model does not split them from the
+    // appends.
     const double total =
         model_.BucketsortCreate(rho, std::min(alpha, 1.0), delta);
     const double log_b = std::log2(static_cast<double>(buckets_.size()));
@@ -152,9 +155,10 @@ size_t ProgressiveBucketsort::BuildWork(size_t units) {
     const size_t elems = std::min(units, n - copy_pos_);
     // Equi-height bounds need a binary search per element (no digit
     // kernel applies); a branch-free one, since the bucket of random
-    // data is unpredictable. The WC-staged scatter runs on the calling
-    // thread at every lane count.
-    ScatterToChainsBatched(
+    // data is unpredictable. Large slices resolve the lookups in
+    // concurrent chunks (the bounds are read-only); the WC-staged
+    // appends run on the calling thread at every lane count.
+    parallel::ScatterToChainsBatched(
         [this](const value_t* batch, size_t len, uint32_t* ids) {
           for (size_t i = 0; i < len; i++) {
             ids[i] = static_cast<uint32_t>(bucket_of_(batch[i]));

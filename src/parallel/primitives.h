@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 
 #include "common/types.h"
 #include "parallel/thread_pool.h"
@@ -29,7 +31,7 @@ namespace parallel {
 
 /// Inputs below this element count stay on the serial kernels. It is
 /// a floor, not the break-even: a 32 Ki-element scan takes ~5-7 us on
-/// one lane and ~11-16 us on two to four (the `lanes` rows of
+/// one lane and ~9-16 us on two to four (the `lanes` rows of
 /// BENCH_kernels.json, 4-vCPU Xeon), and scans lose at four lanes up
 /// to ~128 Ki elements.
 constexpr size_t kMinParallelElements = size_t{1} << 15;
@@ -112,6 +114,34 @@ struct SrcRun {
 /// name perfbench's layer probe calls; nothing in src/ uses it. Delete
 /// once that call names progidx::ScatterToChains (ROADMAP item 7).
 using progidx::ScatterToChains;
+
+/// ScatterToChainsBatched with the id lookup — the part that pays on
+/// the pool — resolved in parallel chunks: `fill_ids(batch, len, ids)`
+/// must be callable concurrently on disjoint batches (Progressive
+/// Bucketsort's branch-free equi-height lookup is). The appends then
+/// run the serial WC-staged scatter over the resolved ids on the
+/// calling thread, so the chains are bit-identical to the serial
+/// scatter's for every lane count. Below the lane gate it is the
+/// serial scatter.
+template <typename FillIds>
+void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
+                            BucketChain* chains, size_t num_chains) {
+  const size_t lanes = PlannedLanes(n);
+  if (lanes <= 1 || num_chains == 0) {
+    progidx::ScatterToChainsBatched(fill_ids, src, n, chains, num_chains);
+    return;
+  }
+  const std::unique_ptr<uint32_t[]> ids =
+      std::make_unique_for_overwrite<uint32_t[]>(n);
+  ParallelFor(0, n, kScanGrain, lanes, [&](size_t b, size_t e) {
+    fill_ids(src + b, e - b, ids.get() + b);
+  });
+  progidx::ScatterToChainsBatched(
+      [&](const value_t* batch, size_t len, uint32_t* out) {
+        std::memcpy(out, ids.get() + (batch - src), len * sizeof(uint32_t));
+      },
+      src, n, chains, num_chains);
+}
 
 /// Lays runs[0], runs[1], ... end-to-end at `dst` (block memcpys) and
 /// returns the total elements copied. Large totals split across the

@@ -235,8 +235,10 @@ void ScatterToChainsBatched(FillIds&& fill_ids, const value_t* src, size_t n,
 /// must hold mask + 1 entries. This is the radix bucket-scatter shared
 /// by Progressive Radixsort MSD (root bucketing and splits, one call
 /// per drained block run) and LSD (creation and per-pass drains, the
-/// same); Progressive Bucketsort uses ScatterToChainsBatched directly
-/// with its equi-height lookup. Both run on the calling thread.
+/// same), on the calling thread. Progressive Bucketsort runs
+/// ScatterToChainsBatched with its equi-height lookup instead, through
+/// parallel::ScatterToChainsBatched: the lookups may run on the pool,
+/// the appends stay on the calling thread.
 void ScatterToChains(const value_t* src, size_t n, value_t base, int shift,
                      uint32_t mask, BucketChain* chains);
 

@@ -18,6 +18,7 @@
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "parallel/thread_pool.h"
+#include "storage/bucket_chain.h"
 #include "workload/data_generator.h"
 
 // The parallel subsystem's contract (docs/parallel.md): every composite
@@ -220,6 +221,51 @@ TEST(ParallelPrimitivesTest, RadixSortFlatSortsLikeStdSort) {
   parallel::RadixSortFlat(data.data(), scratch.data(), n, min_v, max_v);
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(data, expected);
+}
+
+TEST(ParallelPrimitivesTest, ScatterToChainsBatchedMatchesSerial) {
+  // Progressive Bucketsort's bucketing: 64 equi-height chains found by
+  // the branch-free lookup, which the pool resolves in chunks before
+  // the serial appends.
+  const size_t n = (1 << 17) + 253;
+  const std::vector<value_t> src = RandomValues(n, 13);
+  std::vector<value_t> bounds(63);
+  for (size_t i = 0; i < bounds.size(); i++) bounds[i] = src[i * 1999];
+  std::sort(bounds.begin(), bounds.end());
+  const kernels::UpperBoundLookup lookup(bounds.data(), bounds.size());
+  auto fill_ids = [&](const value_t* batch, size_t len, uint32_t* ids) {
+    for (size_t i = 0; i < len; i++) {
+      ids[i] = static_cast<uint32_t>(lookup(batch[i]));
+    }
+  };
+  auto chain_contents = [](const std::vector<BucketChain>& chains) {
+    std::vector<std::vector<value_t>> contents;
+    for (const BucketChain& c : chains) {
+      contents.emplace_back(c.size());
+      c.CopyTo(contents.back().data());
+    }
+    return contents;
+  };
+  auto make_chains = [] {
+    std::vector<BucketChain> chains;
+    for (size_t i = 0; i < 64; i++) chains.emplace_back(512);
+    return chains;
+  };
+  std::vector<BucketChain> serial = make_chains();
+  ScatterToChainsBatched(fill_ids, src.data(), n, serial.data(),
+                         serial.size());
+  for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
+    ScopedLanes scoped(lanes);
+    std::vector<BucketChain> chains = make_chains();
+    parallel::ScatterToChainsBatched(fill_ids, src.data(), n, chains.data(),
+                                     chains.size());
+    for (size_t i = 0; i < chains.size(); i++) {
+      ASSERT_EQ(chains[i].block_count(), serial[i].block_count())
+          << "chain " << i << " lanes " << lanes;
+    }
+    ASSERT_EQ(chain_contents(chains), chain_contents(serial))
+        << "lanes " << lanes;
+  }
 }
 
 TEST(ParallelPrimitivesTest, CopyRunsToMatchesSerialConcatenation) {
