@@ -7,7 +7,7 @@
 // of the kernel layer and writes BENCH_kernels.json (scalar vs
 // dispatched GB/s and the speedup per kernel, the CRC-32 included;
 // per-tier rows; per thread-count rows for the parallel composite
-// primitives; the <= 64-bucket scatter shape study; and the `lanes`
+// primitives; the leaf-sort and bucket-lookup rows; and the `lanes`
 // rows, µs per call of each kept pool path by element count and lane
 // count), so successive PRs leave a perf trajectory behind.
 
@@ -31,7 +31,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "kernels/kernels.h"
-#include "kernels/kernels_internal.h"
 #include "parallel/primitives.h"
 #include "storage/bucket_chain.h"
 
@@ -58,18 +57,6 @@ void BM_PredicatedRangeSum(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_PredicatedRangeSum)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_BranchedRangeSum(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<value_t> data = RandomData(n, 1);
-  const RangeQuery q{static_cast<value_t>(n / 4),
-                     static_cast<value_t>(3 * n / 4)};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(BranchedRangeSum(data.data(), n, q));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_BranchedRangeSum)->Arg(1 << 16)->Arg(1 << 20);
 
 // Scalar tier vs dispatched tier, head to head on the same input.
 void BM_RangeSumScalarTier(benchmark::State& state) {
@@ -352,8 +339,8 @@ double MeasureSecsOnce(Prepare&& prepare, Fn&& fn) {
 std::vector<const kernels::KernelOps*> SweepTiers() {
   std::vector<const kernels::KernelOps*> tiers;
   tiers.push_back(&kernels::ScalarKernels());
-  for (const char* name : {"sse2", "avx2", "avx512"}) {
-    const kernels::KernelOps& ops = kernels::ResolveKernels(name, false);
+  for (const char* name : {"avx2", "avx512"}) {
+    const kernels::KernelOps& ops = kernels::ResolveKernels(name);
     if (std::strcmp(ops.name, name) == 0) tiers.push_back(&ops);
   }
   return tiers;
@@ -680,71 +667,6 @@ void WriteKernelThroughputJson(const char* path) {
     }
   }
 
-  // --- <= 64-bucket scatter shape study (ROADMAP: "a vpconflictq-based
-  // vectorized buffering loop might close that; measure before
-  // believing"): the prefetching direct scatter (what the dispatched
-  // kernel runs below kWcMinMask), the scalar WC buffering loop, and
-  // the vpconflictq-vectorized WC loop, head to head at 64 buckets.
-  struct Scatter64Shape {
-    size_t elements;
-    double direct_gbps = 0;
-    double wc_gbps = 0;
-    double conflict_gbps = 0;  // 0 = unavailable (build or CPU)
-  };
-  const kernels::detail::ScatterFn conflict_fn =
-      kernels::detail::ConflictWcScatterAvx512();
-  std::vector<Scatter64Shape> scatter64;
-  for (const size_t sn : {size_t{1} << 16, kN}) {
-    Scatter64Shape shape{sn, 0, 0, 0};
-    uint64_t counts[64] = {};
-    active.radix_histogram(data.data(), sn, 0, 0, 63u, counts);
-    size_t base_offsets[64];
-    size_t acc = 0;
-    for (int d = 0; d < 64; d++) {
-      base_offsets[d] = acc;
-      acc += static_cast<size_t>(counts[d]);
-    }
-    size_t offsets[64];
-    auto reset = [&] { std::memcpy(offsets, base_offsets, sizeof(offsets)); };
-    auto direct_once = [&] {
-      return MeasureSecsOnce(reset, [&] {
-        active.radix_scatter(data.data(), sn, 0, 0, 63u, dst.data(), offsets);
-        throughput_sink = dst[0];
-      });
-    };
-    auto wc_once = [&] {
-      return MeasureSecsOnce(reset, [&] {
-        kernels::detail::ScatterWithWcBuffers(
-            active.compute_digits, data.data(), sn, 0, 0, 63u, dst.data(),
-            offsets, [](value_t* out, const value_t* buf, uint32_t cnt) {
-              std::memcpy(out, buf, cnt * sizeof(value_t));
-            });
-        throughput_sink = dst[0];
-      });
-    };
-    auto conflict_once = [&] {
-      return MeasureSecsOnce(reset, [&] {
-        conflict_fn(data.data(), sn, 0, 0, 63u, dst.data(), offsets);
-        throughput_sink = dst[0];
-      });
-    };
-    double direct_best = 1e30;
-    double wc_best = 1e30;
-    double conflict_best = 1e30;
-    for (size_t r = 0; r < kReps; r++) {
-      direct_best = std::min(direct_best, direct_once());
-      wc_best = std::min(wc_best, wc_once());
-      if (conflict_fn != nullptr) {
-        conflict_best = std::min(conflict_best, conflict_once());
-      }
-    }
-    const double shape_gb = static_cast<double>(sn) * sizeof(value_t) / 1e9;
-    shape.direct_gbps = shape_gb / direct_best;
-    shape.wc_gbps = shape_gb / wc_best;
-    if (conflict_fn != nullptr) shape.conflict_gbps = shape_gb / conflict_best;
-    scatter64.push_back(shape);
-  }
-
   // --- Leaf sorts and the bucket lookup: the sort-outright leaves of
   // the progressive indexes and Progressive Bucketsort's creation-phase
   // search, each against the std:: call it replaced, in ns/element over
@@ -841,18 +763,6 @@ void WriteKernelThroughputJson(const char* path) {
   }
   kernels_raw += "  ]";
   bench::UpsertJsonSection(&sections, "kernels", std::move(kernels_raw));
-  std::string scatter_raw = "[\n";
-  for (size_t i = 0; i < scatter64.size(); i++) {
-    const Scatter64Shape& s = scatter64[i];
-    bench::AppendF(&scatter_raw,
-                   "    {\"elements\": %zu, \"direct_gbps\": %.3f, "
-                   "\"wc_memcpy_gbps\": %.3f, \"conflict_wc_gbps\": %.3f}%s\n",
-                   s.elements, s.direct_gbps, s.wc_gbps, s.conflict_gbps,
-                   i + 1 < scatter64.size() ? "," : "");
-  }
-  scatter_raw += "  ]";
-  bench::UpsertJsonSection(&sections, "scatter_64bucket",
-                           std::move(scatter_raw));
   std::string leaf_raw = "[\n";
   for (size_t i = 0; i < leaf_rows.size(); i++) {
     const LeafSortRow& row = leaf_rows[i];
@@ -898,13 +808,6 @@ void WriteKernelThroughputJson(const char* path) {
       }
       std::printf("\n");
     }
-  }
-  for (const Scatter64Shape& s : scatter64) {
-    std::printf(
-        "  scatter 64-bucket n=%-8zu direct %6.2f GB/s  wc+memcpy %6.2f "
-        "GB/s  conflict-wc %6.2f GB/s%s\n",
-        s.elements, s.direct_gbps, s.wc_gbps, s.conflict_gbps,
-        s.conflict_gbps == 0 ? " (unavailable)" : "");
   }
   for (const LeafSortRow& row : leaf_rows) {
     std::printf(

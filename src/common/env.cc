@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -45,11 +44,6 @@ size_t BoundedSizeFromEnv(const char* name, size_t lo, size_t hi,
                  fallback_note != nullptr ? ")" : "");
   }
   return fallback;
-}
-
-bool FlagFromEnv(const char* name) {
-  const char* v = Get(name);
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
 }  // namespace env

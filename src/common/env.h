@@ -18,10 +18,6 @@ size_t BoundedSizeFromEnv(const char* name, size_t lo, size_t hi,
                           size_t fallback, const char* what,
                           const char* fallback_note);
 
-/// True when `name` is set to a non-empty value other than "0" (the
-/// PROGIDX_FORCE_SCALAR convention).
-bool FlagFromEnv(const char* name);
-
 /// Thread-safe warn-once gate, keyed by `key`: true exactly once per
 /// process for each distinct key. Shared by the env parsers above and
 /// by other warn-once diagnostics (PROGIDX_FORCE_KERNEL fallback), so

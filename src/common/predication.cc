@@ -17,11 +17,6 @@ QueryResult PredicatedRangeSum(const value_t* data, size_t n,
   return parallel::RangeSumPredicated(data, n, q);
 }
 
-QueryResult BranchedRangeSum(const value_t* data, size_t n,
-                             const RangeQuery& q) {
-  return kernels::Dispatch().range_sum_branched(data, n, q);
-}
-
 QueryResult SortedRangeSum(const value_t* data, size_t n,
                            const RangeQuery& q) {
   const value_t* lo = std::lower_bound(data, data + n, q.low);

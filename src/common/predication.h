@@ -13,22 +13,17 @@ namespace progidx {
 // these kernels are shared by the full-scan baseline and by every
 // progressive/adaptive index when scanning unrefined data.
 //
-// Since the kernel-layer refactor these are thin wrappers over the
-// runtime-dispatched implementations in kernels/kernels.h (AVX2, SSE2,
-// or cache-blocked scalar, selected by CPUID at startup). All tiers
-// return bit-identical results; PROGIDX_FORCE_SCALAR=1 pins the scalar
+// They are thin wrappers over the runtime-dispatched implementations in
+// kernels/kernels.h (AVX-512, AVX2 or cache-blocked scalar, selected by
+// CPUID at startup); large predicated scans split across the thread
+// pool (parallel/primitives.h). All tiers and lane counts return
+// bit-identical results; PROGIDX_FORCE_KERNEL=scalar pins the scalar
 // tier for testing.
 
 /// Predicated SUM + COUNT of values in [q.low, q.high] over
 /// data[0, n). Cost is independent of selectivity.
 QueryResult PredicatedRangeSum(const value_t* data, size_t n,
                                const RangeQuery& q);
-
-/// Branched variant of PredicatedRangeSum; used by the cracking-kernel
-/// decision tree when selectivity is extreme, and by tests as a second
-/// implementation of the same contract.
-QueryResult BranchedRangeSum(const value_t* data, size_t n,
-                             const RangeQuery& q);
 
 /// SUM + COUNT over a *sorted* run: binary-searches the boundaries and
 /// accumulates only the qualifying slice.

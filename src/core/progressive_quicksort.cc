@@ -65,19 +65,15 @@ ProgressiveIndex::Prediction ProgressiveQuicksort::PredictBuild(
       alpha += (n - 1.0 - static_cast<double>(high_pos_)) / n;
     }
     double total = model_.QuicksortCreate(rho, alpha, delta);
-    // Both terms execute across the pool — the δ·t_pivot partition
-    // through the chunked primitive, the scan share through the
-    // parallel tiled reduction (the scanned regions here are big
-    // contiguous spans, unlike the radix/bucket indexes' block-wise
-    // chain walks, which stay serial-priced because they stay
-    // serial). Re-price each with the measured parallel-efficiency
-    // curve; work units themselves stay serial-priced — see
-    // docs/parallel.md.
+    // The scan share runs the parallel tiled reduction (the scanned
+    // regions here are big contiguous spans, unlike the radix/bucket
+    // indexes' block-wise chain walks, which stay serial), so it is
+    // re-priced with the measured parallel-efficiency curve. The
+    // δ·t_pivot partition is priced serial: the chunked partition runs
+    // on the pool too, but the range sum's curve overstates its
+    // speedup (docs/parallel.md). Work units themselves stay
+    // serial-priced either way.
     const double pivot_term = delta * model_.PivotSecs();
-    const size_t slice = static_cast<size_t>(delta * n);
-    total += model_.ThreadedSecs(pivot_term,
-                                 parallel::PlannedPartitionLanes(slice)) -
-             pivot_term;
     const double scan_term = (1.0 - rho + alpha - delta) * model_.ScanSecs();
     const size_t scanned = static_cast<size_t>((1.0 - rho + alpha) * n);
     total += model_.ThreadedSecs(scan_term, parallel::PlannedLanes(scanned)) -

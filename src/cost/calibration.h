@@ -54,8 +54,9 @@ struct MachineConstants {
   size_t elements_per_page = 512;        ///< γ (4 KiB page / 8 B)
   size_t l1_cache_elements = 4096;       ///< elements fitting in L1 (32 KiB)
   size_t l2_cache_elements = 32768;      ///< elements fitting in L2 (256 KiB)
-  /// Kernel tier the constants were measured against ("scalar", "sse2",
-  /// "avx2") — informational, for reports and benchmark metadata.
+  /// Kernel tier the constants were measured against ("scalar",
+  /// "avx2", "avx512") — informational, for reports and benchmark
+  /// metadata.
   const char* kernel_name = "scalar";
 
   /// Full-scan time for n elements: t_scan = ω * N / γ.

@@ -124,15 +124,14 @@ void PredicateSet::Reset(const RangeQuery* qs, size_t count) {
   counts_.assign(bounds_.size(), 0);
 }
 
-void PredicateSet::ScanSerialInto(const value_t* data, size_t begin,
-                                  size_t end, uint64_t* sums,
-                                  int64_t* counts) const {
+void PredicateSet::ScanSerialInto(const value_t* data, size_t n,
+                                  uint64_t* sums, int64_t* counts) const {
   const uint64_t* bounds = bounds_.data();
   const size_t nb = bounds_.size();
   const uint64_t lo = bounds[0];
   const uint64_t hi = bounds[nb - 1];
   const bool open_top = open_top_;
-  for (size_t i = begin; i < end; i++) {
+  for (size_t i = 0; i < n; i++) {
     const value_t v = data[i];
     const uint64_t u = MapValue(v);
     if (u < lo) continue;
@@ -143,13 +142,12 @@ void PredicateSet::ScanSerialInto(const value_t* data, size_t begin,
   }
 }
 
-void PredicateSet::ScanTiledInto(const value_t* data, size_t begin,
-                                 size_t end, uint64_t* sums,
-                                 int64_t* counts) const {
+void PredicateSet::ScanTiledInto(const value_t* data, size_t n,
+                                 uint64_t* sums, int64_t* counts) const {
   const kernels::KernelOps& ops = kernels::Dispatch();
   const size_t nq = query_count_;
-  for (size_t t = begin; t < end; t += kTileElements) {
-    const size_t len = std::min(kTileElements, end - t);
+  for (size_t t = 0; t < n; t += kTileElements) {
+    const size_t len = std::min(kTileElements, n - t);
     for (size_t qi = 0; qi < nq; qi++) {
       const QueryResult part =
           ops.range_sum_predicated(data + t, len, queries_[qi]);
@@ -159,63 +157,38 @@ void PredicateSet::ScanTiledInto(const value_t* data, size_t begin,
   }
 }
 
-template <bool kTiled>
-void PredicateSet::ScanDispatch(const value_t* data, size_t n) {
-  const size_t stride = kTiled ? query_count_ : bounds_.size();
-  const size_t lanes = parallel::PlannedLanes(n);
-  if (lanes <= 1 || n <= kSharedScanGrain) {
-    if constexpr (kTiled) {
-      ScanTiledInto(data, 0, n, sums_.data(), counts_.data());
+void PredicateSet::ScanRunsInto(const parallel::SrcRun* runs, size_t begin,
+                                size_t end, uint64_t* sums,
+                                int64_t* counts) const {
+  for (size_t i = begin; i < end; i++) {
+    if (tiled_) {
+      ScanTiledInto(runs[i].data, runs[i].len, sums, counts);
     } else {
-      ScanSerialInto(data, 0, n, sums_.data(), counts_.data());
-    }
-    return;
-  }
-  // Chunked parallel scan: each fixed-geometry chunk accumulates into a
-  // private table, merged in chunk order. Integer partials add exactly,
-  // so the totals match the serial scan bit for bit at any lane count.
-  const size_t chunks = (n + kSharedScanGrain - 1) / kSharedScanGrain;
-  scratch_sums_.assign(chunks * stride, 0);
-  scratch_counts_.assign(chunks * stride, 0);
-  parallel::ParallelFor(0, n, kSharedScanGrain, lanes,
-                        [&](size_t b, size_t e) {
-                          const size_t c = b / kSharedScanGrain;
-                          uint64_t* sums = scratch_sums_.data() + c * stride;
-                          int64_t* counts =
-                              scratch_counts_.data() + c * stride;
-                          if constexpr (kTiled) {
-                            ScanTiledInto(data, b, e, sums, counts);
-                          } else {
-                            ScanSerialInto(data, b, e, sums, counts);
-                          }
-                        });
-  for (size_t c = 0; c < chunks; c++) {
-    const uint64_t* ps = scratch_sums_.data() + c * stride;
-    const int64_t* pc = scratch_counts_.data() + c * stride;
-    for (size_t k = 0; k < stride; k++) {
-      sums_[k] += ps[k];
-      counts_[k] += pc[k];
+      ScanSerialInto(runs[i].data, runs[i].len, sums, counts);
     }
   }
 }
 
 void PredicateSet::Scan(const value_t* data, size_t n) {
   if (n == 0 || query_count_ == 0) return;
-  scanned_ += n;
   if (query_count_ == 1) {
     // Single predicate: the dispatched (vectorized, thread-tiled)
     // kernel is both fastest and bit-identical to the per-index
     // single-query scan paths.
+    scanned_ += n;
     const QueryResult r = PredicatedRangeSum(data, n, single_);
     sums_[0] += static_cast<uint64_t>(r.sum);
     counts_[0] += r.count;
     return;
   }
-  if (tiled_) {
-    ScanDispatch<true>(data, n);
-  } else {
-    ScanDispatch<false>(data, n);
+  // Cut [0, n) into kSharedScanGrain runs: ScanRuns groups each into a
+  // span of its own, so the chunks and their merge order are the
+  // fixed-geometry ones of a chunked scan.
+  scratch_runs_.clear();
+  for (size_t b = 0; b < n; b += kSharedScanGrain) {
+    scratch_runs_.push_back({data + b, std::min(kSharedScanGrain, n - b)});
   }
+  ScanRuns(scratch_runs_.data(), scratch_runs_.size());
 }
 
 void PredicateSet::ScanRuns(const parallel::SrcRun* runs, size_t count) {
@@ -240,16 +213,7 @@ void PredicateSet::ScanRuns(const parallel::SrcRun* runs, size_t count) {
   const size_t stride = tiled_ ? query_count_ : bounds_.size();
   const size_t lanes = parallel::PlannedLanes(total);
   if (lanes <= 1 || total <= kSharedScanGrain) {
-    for (size_t i = 0; i < count; i++) {
-      if (runs[i].len == 0) continue;
-      if (tiled_) {
-        ScanTiledInto(runs[i].data, 0, runs[i].len, sums_.data(),
-                      counts_.data());
-      } else {
-        ScanSerialInto(runs[i].data, 0, runs[i].len, sums_.data(),
-                       counts_.data());
-      }
-    }
+    ScanRunsInto(runs, 0, count, sums_.data(), counts_.data());
     return;
   }
   // Parallel run-list scan: whole runs group into spans of at least
@@ -270,19 +234,10 @@ void PredicateSet::ScanRuns(const parallel::SrcRun* runs, size_t count) {
   parallel::ParallelFor(
       0, spans, 1, std::min(lanes, spans), [&](size_t b, size_t e) {
         for (size_t s = b; s < e; s++) {
-          const size_t run_begin = scratch_span_starts_[s];
-          const size_t run_end =
-              s + 1 < spans ? scratch_span_starts_[s + 1] : count;
-          uint64_t* sums = scratch_sums_.data() + s * stride;
-          int64_t* counts = scratch_counts_.data() + s * stride;
-          for (size_t i = run_begin; i < run_end; i++) {
-            if (runs[i].len == 0) continue;
-            if (tiled_) {
-              ScanTiledInto(runs[i].data, 0, runs[i].len, sums, counts);
-            } else {
-              ScanSerialInto(runs[i].data, 0, runs[i].len, sums, counts);
-            }
-          }
+          ScanRunsInto(runs, scratch_span_starts_[s],
+                       s + 1 < spans ? scratch_span_starts_[s + 1] : count,
+                       scratch_sums_.data() + s * stride,
+                       scratch_counts_.data() + s * stride);
         }
       });
   for (size_t s = 0; s < spans; s++) {

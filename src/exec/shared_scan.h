@@ -115,13 +115,13 @@ class PredicateSet {
   static constexpr size_t kTiledBatchMax = 48;
 
  private:
-  void ScanSerialInto(const value_t* data, size_t begin, size_t end,
-                      uint64_t* sums, int64_t* counts) const;
-  void ScanTiledInto(const value_t* data, size_t begin, size_t end,
-                     uint64_t* sums, int64_t* counts) const;
-  /// Shared chunk-parallel driver over either per-element routine.
-  template <bool kTiled>
-  void ScanDispatch(const value_t* data, size_t n);
+  void ScanSerialInto(const value_t* data, size_t n, uint64_t* sums,
+                      int64_t* counts) const;
+  void ScanTiledInto(const value_t* data, size_t n, uint64_t* sums,
+                     int64_t* counts) const;
+  /// runs[begin, end) through the regime's per-element routine.
+  void ScanRunsInto(const parallel::SrcRun* runs, size_t begin, size_t end,
+                    uint64_t* sums, int64_t* counts) const;
 
   size_t query_count_ = 0;
   RangeQuery single_;  ///< the one predicate when query_count_ == 1
@@ -145,11 +145,13 @@ class PredicateSet {
   std::vector<uint64_t> sums_;
   std::vector<int64_t> counts_;
   size_t scanned_ = 0;
-  /// Per-chunk partials of the parallel scan (chunk-major).
+  /// Per-span partials of the parallel run-list scan (span-major).
   std::vector<uint64_t> scratch_sums_;
   std::vector<int64_t> scratch_counts_;
   /// First-run index of each span of the parallel run-list scan.
   std::vector<size_t> scratch_span_starts_;
+  /// Scan's input cut into fixed-size runs for ScanRuns.
+  std::vector<parallel::SrcRun> scratch_runs_;
 };
 
 }  // namespace exec

@@ -1,8 +1,6 @@
 #include "kernels/kernels.h"
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/env.h"
@@ -21,14 +19,6 @@ namespace {
 bool CpuHasAvx2() {
 #ifdef __GNUC__
   return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("pclmul");
-#else
-  return false;
-#endif
-}
-
-bool CpuHasSse2() {
-#ifdef __GNUC__
-  return __builtin_cpu_supports("sse2");
 #else
   return false;
 #endif
@@ -76,15 +66,13 @@ void WarnForcedTierFallback(const char* force, const char* reason) {
   if (!env::WarnOnce("PROGIDX_FORCE_KERNEL")) return;
   std::fprintf(stderr,
                "progidx: PROGIDX_FORCE_KERNEL=%s %s; falling back to the "
-               "scalar tier (known tiers: scalar, sse2, avx2, avx512)\n",
+               "scalar tier (known tiers: scalar, avx2, avx512)\n",
                force, reason);
 }
 
 }  // namespace
 
-const KernelOps& ResolveKernels(const char* force, bool force_scalar,
-                                bool warn_on_fallback) {
-  if (force_scalar) return ScalarKernels();
+const KernelOps& ResolveKernels(const char* force, bool warn_on_fallback) {
 #ifdef PROGIDX_HAVE_SIMD_TIERS
   if (force != nullptr && force[0] != '\0') {
     if (std::strcmp(force, "scalar") == 0) return ScalarKernels();
@@ -114,23 +102,12 @@ const KernelOps& ResolveKernels(const char* force, bool force_scalar,
       }
       return ScalarKernels();
     }
-    if (std::strcmp(force, "sse2") == 0) {
-      if (CpuHasSse2()) return Sse2Kernels();
-      if (warn_on_fallback) {
-        WarnForcedTierFallback(force, "is not supported by this CPU");
-      }
-      return ScalarKernels();
-    }
     if (warn_on_fallback) {
       WarnForcedTierFallback(force, "names an unknown kernel tier");
     }
     return ScalarKernels();
   }
-  // Auto chain: the widest tier the CPU can run. No sse2 in the chain:
-  // measured on real hardware, the emulated 64-bit compares make the
-  // 2-lane scans *slower* than the unrolled cmov scalar tier (~0.8x).
-  // It stays available via PROGIDX_FORCE_KERNEL=sse2 for testing and
-  // for machines where someone measures the opposite.
+  // Auto chain: the widest tier the CPU can run.
   if (CpuHasAvx512f()) {
     const KernelOps& ops = Avx512Kernels();
     // Skip the scalar-forwarding stub (compiler without -mavx512f) so
@@ -150,7 +127,6 @@ const KernelOps& ResolveKernels(const char* force, bool force_scalar,
 const KernelOps& Dispatch() {
   static const KernelOps* const selected =
       &ResolveKernels(env::Get("PROGIDX_FORCE_KERNEL"),
-                      env::FlagFromEnv("PROGIDX_FORCE_SCALAR"),
                       /*warn_on_fallback=*/true);
   return *selected;
 }

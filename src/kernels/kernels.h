@@ -13,14 +13,12 @@
 // Every tight loop the progressive indexes spend their per-query budget
 // in — predicated range-sum scans, two-sided pivot partitioning, the
 // in-place crack, radix digit extraction / histogram / scatter — lives
-// here, in four implementation tiers, together with the CRC-32 that
+// here, in three implementation tiers, together with the CRC-32 that
 // checksums every checkpoint byte:
 //
 //   * scalar — portable, cache-blocked, 4-way unrolled, slicing-by-8
 //     CRC; the reference implementation every other tier must match
 //     bit for bit.
-//   * sse2   — 2-lane SIMD scans (64-bit compares emulated, so plain
-//     x86-64 baseline silicon qualifies).
 //   * avx2   — 4-lane scans, compress-store partitioning, a buffered
 //     (Bramas-style) in-place crack, vector digit extraction, a
 //     write-combining radix scatter, and a PCLMULQDQ folding CRC.
@@ -32,12 +30,11 @@
 // branch-free bucket lookup (UpperBoundLookup) are portable code that
 // every tier shares.
 //
-// Which tier runs is decided once per process by Dispatch(): CPUID
-// feature detection (leaf 7 + XGETBV ZMM-state for AVX-512, and the
-// PCLMULQDQ bit for both wide tiers),
-// overridable with environment variables PROGIDX_FORCE_SCALAR=1
-// (testing the fallback) or
-// PROGIDX_FORCE_KERNEL=scalar|sse2|avx2|avx512 (unknown or unsupported
+// Which tier runs is decided once per process by Dispatch(): the
+// widest of avx512 → avx2 → scalar that CPUID feature detection
+// admits (leaf 7 + XGETBV ZMM-state for AVX-512, and the PCLMULQDQ bit
+// for both wide tiers), overridable with the environment variable
+// PROGIDX_FORCE_KERNEL=scalar|avx2|avx512 (unknown or unsupported
 // names warn once on stderr and fall back to scalar). Compiling with
 // -DPROGIDX_NO_SIMD removes the SIMD tiers entirely.
 //
@@ -65,10 +62,6 @@ struct KernelOps {
   /// branch-free (cost independent of selectivity).
   QueryResult (*range_sum_predicated)(const value_t* data, size_t n,
                                       const RangeQuery& q);
-
-  /// Branched variant; cheaper at extreme selectivities.
-  QueryResult (*range_sum_branched)(const value_t* data, size_t n,
-                                    const RangeQuery& q);
 
   /// Two-sided out-of-place partition: the Progressive Quicksort
   /// creation loop. Each src value is written to the low (< pivot) or
@@ -121,28 +114,26 @@ const KernelOps& ScalarKernels();
 #ifdef PROGIDX_HAVE_SIMD_TIERS
 /// SIMD tiers. Present whenever SIMD is compiled in; only *run* them on
 /// CPUs whose feature bits Dispatch()/ResolveKernels() checked.
-const KernelOps& Sse2Kernels();
 const KernelOps& Avx2Kernels();
 const KernelOps& Avx512Kernels();
 #endif
 
 /// Pure selection logic behind Dispatch(), exposed so tests can
-/// exercise every combination without re-execing the process:
-/// `force_scalar` models PROGIDX_FORCE_SCALAR, `force` models
-/// PROGIDX_FORCE_KERNEL (nullptr = auto). A forced tier the CPU cannot
-/// run falls back to scalar — silently by default (tests and probes
-/// call this to *ask* what resolves); Dispatch() passes
+/// exercise every tier name without re-execing the process: `force`
+/// models PROGIDX_FORCE_KERNEL (nullptr or empty = auto). A forced tier
+/// the CPU cannot run falls back to scalar — silently by default (tests
+/// and probes call this to *ask* what resolves); Dispatch() passes
 /// `warn_on_fallback` so an unknown/unsupported tier genuinely set in
 /// the environment warns once on stderr instead of masquerading as a
 /// scalar run.
-const KernelOps& ResolveKernels(const char* force, bool force_scalar,
+const KernelOps& ResolveKernels(const char* force,
                                 bool warn_on_fallback = false);
 
-/// The process-wide tier, selected on first use from CPUID and the
-/// PROGIDX_FORCE_* environment variables.
+/// The process-wide tier, selected on first use from CPUID and
+/// PROGIDX_FORCE_KERNEL.
 const KernelOps& Dispatch();
 
-/// Name of the dispatched tier ("scalar", "sse2", "avx2", "avx512").
+/// Name of the dispatched tier ("scalar", "avx2", "avx512").
 const char* ActiveKernelName();
 
 // --- Hot-path wrappers -------------------------------------------------
@@ -150,11 +141,6 @@ const char* ActiveKernelName();
 inline QueryResult RangeSumPredicated(const value_t* data, size_t n,
                                       const RangeQuery& q) {
   return Dispatch().range_sum_predicated(data, n, q);
-}
-
-inline QueryResult RangeSumBranched(const value_t* data, size_t n,
-                                    const RangeQuery& q) {
-  return Dispatch().range_sum_branched(data, n, q);
 }
 
 inline void PartitionTwoSided(const value_t* src, size_t n, value_t pivot,

@@ -338,7 +338,6 @@ const KernelOps& Avx2Kernels() {
   static constexpr KernelOps kOps = {
       "avx2",
       &RangeSumPredicatedAvx2,
-      &detail::RangeSumBranchedScalar,
       &PartitionTwoSidedAvx2,
       &CrackInPlaceAvx2,
       &ComputeDigitsAvx2,

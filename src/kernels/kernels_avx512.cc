@@ -197,100 +197,12 @@ void RadixScatterAvx512(const value_t* src, size_t n, value_t base, int shift,
   _mm_sfence();
 }
 
-#if defined(__AVX512CD__) && defined(__AVX512VPOPCNTDQ__)
-
-// vpconflictq-based vectorized WC buffering for <= 64-bucket scatters:
-// the per-element WC loop is CPU-bound there (the direct prefetching
-// scatter wins ~3.9 vs ~3.2 GB/s single-core), so vectorize the
-// buffering itself — digits, staging positions, and fill updates all
-// computed 8 lanes at a time. Intra-vector duplicate buckets are the
-// crux: vpconflictq marks, per lane, which *earlier* lanes carry the
-// same digit, so popcount of that mask is the lane's rank among its
-// duplicates — every lane gets a distinct staging slot and one 8-lane
-// scatter stores the whole vector. The fill-counter update exploits
-// scatter ordering (on overlapping indices the highest lane wins): the
-// last occurrence of a bucket writes fill = its pos + 1 = fill + count.
-void RadixScatterConflictWcAvx512(const value_t* src, size_t n, value_t base,
-                                  int shift, uint32_t mask, value_t* dst,
-                                  size_t* offsets) {
-  constexpr size_t kSlots = 32;  // 256 B staged per bucket, as the WC loop
-  struct Table {
-    alignas(64) value_t buf[64 * kSlots];
-    uint64_t fill[64];  // 8-byte counters: one vpgatherqq/vpscatterqq each
-  };
-  static thread_local Table t;
-  const uint32_t buckets = mask + 1;  // caller contract: mask <= 63
-  for (uint32_t d = 0; d < buckets; d++) t.fill[d] = 0;
-  auto flush = [&](uint64_t b) {
-    const uint64_t f = t.fill[b];
-    if (f != 0) {
-      std::memcpy(dst + offsets[b], t.buf + b * kSlots,
-                  static_cast<size_t>(f) * sizeof(value_t));
-      offsets[b] += static_cast<size_t>(f);
-      t.fill[b] = 0;
-    }
-  };
-  const __m512i basev = _mm512_set1_epi64(base);
-  const __m128i shiftv = _mm_cvtsi32_si128(shift);
-  const __m512i maskv = _mm512_set1_epi64(mask);
-  const __m512i slots = _mm512_set1_epi64(static_cast<int64_t>(kSlots));
-  const __m512i one = _mm512_set1_epi64(1);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m512i v = _mm512_loadu_si512(src + i);
-    const __m512i d = _mm512_and_si512(
-        _mm512_srl_epi64(_mm512_sub_epi64(v, basev), shiftv), maskv);
-    const __m512i rank = _mm512_popcnt_epi64(_mm512_conflict_epi64(d));
-    __m512i fills = _mm512_i64gather_epi64(d, t.fill, 8);
-    __m512i pos = _mm512_add_epi64(fills, rank);
-    const __mmask8 over = _mm512_cmp_epu64_mask(pos, slots, _MM_CMPINT_GE);
-    if (over != 0) {
-      // A bucket crossed the 32-slot boundary (every ~4th vector at 64
-      // uniform buckets): flush the offending buckets, recompute.
-      alignas(64) uint64_t dd[8];
-      _mm512_store_si512(dd, d);
-      for (__mmask8 m = over; m != 0; m &= static_cast<__mmask8>(m - 1)) {
-        flush(dd[__builtin_ctz(m)]);
-      }
-      fills = _mm512_i64gather_epi64(d, t.fill, 8);
-      pos = _mm512_add_epi64(fills, rank);
-    }
-    const __m512i slot = _mm512_add_epi64(_mm512_slli_epi64(d, 5), pos);
-    _mm512_i64scatter_epi64(t.buf, slot, v, 8);
-    _mm512_i64scatter_epi64(t.fill, d, _mm512_add_epi64(pos, one), 8);
-  }
-  for (; i < n; i++) {
-    const uint64_t b = ((static_cast<uint64_t>(src[i]) -
-                         static_cast<uint64_t>(base)) >>
-                       shift) &
-                      mask;
-    if (t.fill[b] == kSlots) flush(b);
-    t.buf[b * kSlots + t.fill[b]++] = src[i];
-  }
-  for (uint32_t d = 0; d < buckets; d++) flush(d);
-}
-
-#endif  // __AVX512CD__ && __AVX512VPOPCNTDQ__
-
 }  // namespace
-
-namespace detail {
-ScatterFn ConflictWcScatterAvx512() {
-#if defined(__AVX512CD__) && defined(__AVX512VPOPCNTDQ__)
-  static const bool supported = __builtin_cpu_supports("avx512cd") &&
-                                __builtin_cpu_supports("avx512vpopcntdq");
-  return supported ? &RadixScatterConflictWcAvx512 : nullptr;
-#else
-  return nullptr;
-#endif
-}
-}  // namespace detail
 
 const KernelOps& Avx512Kernels() {
   static constexpr KernelOps kOps = {
       "avx512",
       &RangeSumPredicatedAvx512,
-      &detail::RangeSumBranchedScalar,
       &PartitionTwoSidedAvx512,
       &CrackInPlaceAvx512,
       &ComputeDigitsAvx512,
@@ -307,25 +219,11 @@ const KernelOps& Avx512Kernels() {
 #elif defined(PROGIDX_HAVE_SIMD_TIERS)
 
 // SIMD tiers requested but this TU was built without -mavx512f (e.g. a
-// compiler that predates it); keep the symbols resolvable (Dispatch()
+// compiler that predates it); keep the symbol resolvable (Dispatch()
 // still CPUID-checks before use, and a scalar table is always correct).
 namespace progidx {
 namespace kernels {
 const KernelOps& Avx512Kernels() { return ScalarKernels(); }
-namespace detail {
-ScatterFn ConflictWcScatterAvx512() { return nullptr; }
-}  // namespace detail
-}  // namespace kernels
-}  // namespace progidx
-
-#else
-
-// Scalar-only build (PROGIDX_NO_SIMD): the probe reports "unavailable".
-namespace progidx {
-namespace kernels {
-namespace detail {
-ScatterFn ConflictWcScatterAvx512() { return nullptr; }
-}  // namespace detail
 }  // namespace kernels
 }  // namespace progidx
 

@@ -9,8 +9,7 @@
 
 // Scalar building blocks shared across tiers: the SIMD translation
 // units use these for loop tails, for budget-exhausted crack
-// remainders, and for the kernels where SIMD buys nothing (branched
-// scans).
+// remainders, and for the scatter, histogram and CRC loops they wrap.
 
 namespace progidx {
 namespace kernels {
@@ -18,8 +17,6 @@ namespace detail {
 
 QueryResult RangeSumPredicatedScalar(const value_t* data, size_t n,
                                      const RangeQuery& q);
-QueryResult RangeSumBranchedScalar(const value_t* data, size_t n,
-                                   const RangeQuery& q);
 void PartitionTwoSidedScalar(const value_t* src, size_t n, value_t pivot,
                              value_t* dst, size_t* lo_pos, int64_t* hi_pos);
 size_t CrackInPlaceScalar(value_t* data, size_t* lo, size_t* hi,
@@ -82,8 +79,9 @@ inline void ScatterWithDigits(ComputeDigitsFn digits_fn, const value_t* src,
 constexpr size_t kWcSlotsPerBucket = 32;
 /// Measured on the dev container (see docs/kernels.md): at <= 64
 /// buckets the prefetching direct scatter still wins (~3.9 vs ~3.2
-/// GB/s — few enough write streams that prefetch hides the RFOs), so
-/// WC buffering kicks in above it, where the direct loop collapses
+/// GB/s — few enough write streams that prefetch hides the RFOs; a
+/// vpconflictq-vectorized WC loop measured slower still), so WC
+/// buffering kicks in above it, where the direct loop collapses
 /// (1.75 -> 3.3 GB/s at 256 buckets).
 constexpr uint32_t kWcMinMask = 64;
 /// The WC table covers 8-bit digits at most ((255 + 1) * 256 B = 64 KiB);
@@ -174,18 +172,6 @@ inline void HistogramWithDigits(ComputeDigitsFn digits_fn, const value_t* src,
     counts[d] += sub[0][d] + sub[1][d] + sub[2][d] + sub[3][d];
   }
 }
-
-using ScatterFn = void (*)(const value_t*, size_t, value_t, int, uint32_t,
-                           value_t*, size_t*);
-
-/// The vpconflictq-based vectorized WC-buffering scatter for <= 64
-/// buckets (ROADMAP: "a vpconflictq-based vectorized buffering loop
-/// might close that; measure before believing"). Returns the function
-/// when this build compiled it (AVX-512 CD + VPOPCNTDQ flags) and this
-/// CPU can run it, nullptr otherwise — the micro_kernels sweep measures
-/// it against the prefetching direct scatter and the scalar WC loop on
-/// the same shapes; docs/kernels.md records the verdict.
-ScatterFn ConflictWcScatterAvx512();
 
 }  // namespace detail
 }  // namespace kernels

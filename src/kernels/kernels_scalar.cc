@@ -90,20 +90,6 @@ QueryResult RangeSumPredicatedScalar(const value_t* data, size_t n,
   return {static_cast<int64_t>(s0 + s1 + s2 + s3), c0 + c1 + c2 + c3};
 }
 
-QueryResult RangeSumBranchedScalar(const value_t* data, size_t n,
-                                   const RangeQuery& q) {
-  uint64_t sum = 0;  // mod-2^64, like every tier
-  int64_t count = 0;
-  for (size_t i = 0; i < n; i++) {
-    const value_t v = data[i];
-    if (v >= q.low && v <= q.high) {
-      sum += static_cast<uint64_t>(v);
-      count++;
-    }
-  }
-  return {static_cast<int64_t>(sum), count};
-}
-
 void PartitionTwoSidedScalar(const value_t* src, size_t n, value_t pivot,
                              value_t* dst, size_t* lo_pos, int64_t* hi_pos) {
   size_t lo = *lo_pos;
@@ -221,7 +207,6 @@ const KernelOps& ScalarKernels() {
   static constexpr KernelOps kOps = {
       "scalar",
       &detail::RangeSumPredicatedScalar,
-      &detail::RangeSumBranchedScalar,
       &detail::PartitionTwoSidedScalar,
       &detail::CrackInPlaceScalar,
       &detail::ComputeDigitsScalar,

@@ -33,17 +33,19 @@ size_t PlannedLanes(size_t n) {
 }
 
 namespace {
-/// The chunked-layout gate of PartitionTwoSided; shared with
-/// PlannedPartitionLanes so planning and execution cannot drift.
+/// The chunked-layout gate of PartitionTwoSided: at least two fixed
+/// chunks, keyed off the sticky ParallelConfigured() rather than the
+/// instantaneous lane count.
 bool PartitionGoesChunked(size_t n) {
   return ParallelConfigured() && n >= 2 * kPartitionChunk;
 }
-}  // namespace
 
+/// Lanes the chunked partition runs on for `n` elements.
 size_t PlannedPartitionLanes(size_t n) {
   if (!PartitionGoesChunked(n)) return 1;
   return std::min(EffectiveLanes(), ChunkCount(n, kPartitionChunk));
 }
+}  // namespace
 
 QueryResult RangeSumPredicatedWithLanes(const value_t* data, size_t n,
                                         const RangeQuery& q, size_t lanes) {

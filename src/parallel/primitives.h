@@ -48,14 +48,6 @@ constexpr size_t kPartitionChunk = size_t{1} << 15;
 /// execution really does.
 size_t PlannedLanes(size_t n);
 
-/// Lanes PartitionTwoSided will actually use for `n` elements. The
-/// partition's gate differs from the generic threshold (it needs at
-/// least two fixed chunks, and it keys off the sticky
-/// ParallelConfigured()), so creation-phase predictions must plan with
-/// this, not PlannedLanes, or mid-size budget slices get priced at a
-/// speedup the executor never delivers.
-size_t PlannedPartitionLanes(size_t n);
-
 /// Tiled parallel SUM + COUNT of values in [q.low, q.high]: each chunk
 /// reduces through the dispatched kernel; partials add exactly
 /// (mod 2^64), so the total is bit-identical to the serial scan.

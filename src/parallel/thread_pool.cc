@@ -22,16 +22,11 @@ namespace {
 
 thread_local bool tls_on_worker = false;
 
-// Pool health counters (docs/observability.md): executed tasks, how
-// many of them were stolen from another lane's deque, and how often a
-// worker went to sleep empty-handed — the balance/starvation signals
-// behind multi-lane scaling numbers.
+// Pool health counters (docs/observability.md): executed tasks, and
+// how often a worker went to sleep empty-handed — the starvation
+// signal behind multi-lane scaling numbers.
 const obs::Counter& TasksCounter() {
   static const obs::Counter c("pool.tasks");
-  return c;
-}
-const obs::Counter& StealsCounter() {
-  static const obs::Counter c("pool.steals");
   return c;
 }
 const obs::Counter& SleepsCounter() {
@@ -60,98 +55,52 @@ std::atomic<bool> g_ever_parallel{false};
 }  // namespace
 
 struct ThreadPool::Impl {
-  struct Deque {
-    std::mutex m;
-    std::deque<std::function<void()>> q;
-  };
-
-  // Fixed-capacity deque table so workers can scan victims without
-  // synchronizing against pool growth; only indexes below
-  // worker_count are ever populated.
-  Deque deques[kMaxLanes];
   std::vector<std::thread> workers;
-  mutable std::mutex grow_m;
+  std::mutex grow_m;
   std::atomic<size_t> worker_count{0};
-  std::atomic<size_t> next_push{0};
-  std::atomic<size_t> pending{0};
+  /// One FIFO of lane tasks. Balance comes from ParallelFor's atomic
+  /// chunk cursor, not from where a lane is queued, so a single queue
+  /// is all the pool needs.
+  std::mutex m;
+  std::condition_variable cv;
+  std::deque<std::function<void()>> queue;
   std::atomic<bool> stop{false};
-  std::mutex sleep_m;
-  std::condition_variable sleep_cv;
 
-  bool PopOrSteal(size_t self, std::function<void()>* out) {
-    const size_t count = worker_count.load(std::memory_order_acquire);
-    {
-      Deque& own = deques[self];
-      std::lock_guard<std::mutex> lk(own.m);
-      if (!own.q.empty()) {
-        *out = std::move(own.q.front());
-        own.q.pop_front();
-        return true;
-      }
-    }
-    for (size_t k = 1; k < count; k++) {
-      Deque& victim = deques[(self + k) % count];
-      std::lock_guard<std::mutex> lk(victim.m);
-      if (!victim.q.empty()) {
-        *out = std::move(victim.q.back());
-        victim.q.pop_back();
-        StealsCounter().Add();
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void WorkerLoop(size_t self) {
+  void WorkerLoop() {
     tls_on_worker = true;
+    std::unique_lock<std::mutex> lk(m);
     for (;;) {
-      std::function<void()> task;
-      if (PopOrSteal(self, &task)) {
-        pending.fetch_sub(1, std::memory_order_acq_rel);
+      if (!queue.empty()) {
+        std::function<void()> task = std::move(queue.front());
+        queue.pop_front();
+        lk.unlock();
         fault::MaybeStall(fault::Site::kPoolWorker);
         TasksCounter().Add();
         task();
+        lk.lock();
         continue;
       }
-      SleepsCounter().Add();
-      std::unique_lock<std::mutex> lk(sleep_m);
       // Shutdown ordering: a stopping worker first drains every queued
-      // task — exit only once stop is set AND nothing is pending, so a
-      // RunOnLanes caller blocked on its lanes is never stranded by
-      // teardown (the drain-before-exit contract of Shutdown()).
-      if (stop.load(std::memory_order_acquire) &&
-          pending.load(std::memory_order_acquire) == 0) {
-        return;
-      }
-      sleep_cv.wait(lk, [this] {
-        return stop.load(std::memory_order_acquire) ||
-               pending.load(std::memory_order_acquire) > 0;
-      });
-      if (stop.load(std::memory_order_acquire) &&
-          pending.load(std::memory_order_acquire) == 0) {
-        return;
-      }
+      // task — it exits only once stop is set AND the queue is empty,
+      // so a RunOnLanes caller blocked on its lanes is never stranded
+      // by teardown (the drain-before-exit contract of Shutdown()).
+      if (stop.load()) return;
+      SleepsCounter().Add();
+      cv.wait(lk, [this] { return stop.load() || !queue.empty(); });
     }
   }
 
   /// False when the pool has stopped: the task was not queued and the
-  /// caller must run it inline. The push happens under sleep_m so it
-  /// serializes against the workers' stop-and-drained exit check — a
-  /// submit that wins the race is guaranteed to be drained.
+  /// caller must run it inline. The push happens under `m`, like the
+  /// workers' stop-and-drained exit check, so a submit that wins the
+  /// race against Shutdown is guaranteed to be drained.
   bool Submit(std::function<void()> task) {
-    const size_t count = worker_count.load(std::memory_order_acquire);
-    const size_t target = next_push.fetch_add(1, std::memory_order_relaxed) %
-                          std::max<size_t>(count, 1);
     {
-      std::lock_guard<std::mutex> lk(sleep_m);
-      if (stop.load(std::memory_order_acquire) || count == 0) return false;
-      {
-        std::lock_guard<std::mutex> dq(deques[target].m);
-        deques[target].q.push_back(std::move(task));
-      }
-      pending.fetch_add(1, std::memory_order_acq_rel);
+      std::lock_guard<std::mutex> lk(m);
+      if (stop.load() || worker_count.load() == 0) return false;
+      queue.push_back(std::move(task));
     }
-    sleep_cv.notify_one();
+    cv.notify_one();
     return true;
   }
 };
@@ -165,10 +114,10 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::Shutdown() {
   {
-    std::lock_guard<std::mutex> lk(impl_->sleep_m);
+    std::lock_guard<std::mutex> lk(impl_->m);
     impl_->stop.store(true, std::memory_order_release);
   }
-  impl_->sleep_cv.notify_all();
+  impl_->cv.notify_all();
   // grow_m also makes a second concurrent Shutdown wait for the first
   // join pass instead of racing it.
   std::lock_guard<std::mutex> lk(impl_->grow_m);
@@ -191,15 +140,10 @@ void ThreadPool::EnsureWorkers(size_t count) {
   std::lock_guard<std::mutex> lk(impl_->grow_m);
   if (impl_->stop.load(std::memory_order_acquire)) return;
   while (impl_->workers.size() < count) {
-    const size_t self = impl_->workers.size();
-    impl_->workers.emplace_back([this, self] { impl_->WorkerLoop(self); });
+    impl_->workers.emplace_back([this] { impl_->WorkerLoop(); });
     impl_->worker_count.store(impl_->workers.size(),
                               std::memory_order_release);
   }
-}
-
-size_t ThreadPool::worker_count() const {
-  return impl_->worker_count.load(std::memory_order_acquire);
 }
 
 bool ThreadPool::OnWorkerThread() { return tls_on_worker; }

@@ -5,8 +5,8 @@
 #include <cstddef>
 #include <functional>
 
-// The parallel execution subsystem: a persistent work-stealing thread
-// pool plus the ParallelFor loop the composite primitives
+// The parallel execution subsystem: a persistent thread pool with one
+// shared task queue, plus the ParallelFor loop the composite primitives
 // (parallel/primitives.h) are built on.
 //
 // Lanes, not threads, are the unit of parallelism: a ParallelFor over L
@@ -35,12 +35,12 @@ namespace parallel {
 /// sensible oversubscription.
 constexpr size_t kMaxLanes = 64;
 
-/// A persistent pool of worker threads with per-worker task deques and
-/// lock-based stealing: a worker pops from its own deque front and
-/// steals from the back of a sibling's when empty. Workers are spawned
-/// lazily (EnsureWorkers) and live until process exit; idle workers
-/// sleep on a condition variable, so an unused pool costs nothing per
-/// query.
+/// A persistent pool of worker threads fed by one mutex-guarded FIFO of
+/// lane tasks. Load balance is ParallelFor's job (its lanes claim
+/// chunks through one atomic cursor), so the queue only hands each
+/// lane to the next free worker. Workers are spawned lazily
+/// (EnsureWorkers) and live until process exit; idle workers sleep on
+/// a condition variable, so an unused pool costs nothing per query.
 class ThreadPool {
  public:
   /// The process-wide pool every primitive shares.
@@ -56,8 +56,6 @@ class ThreadPool {
   /// after Shutdown().
   void EnsureWorkers(size_t count);
 
-  size_t worker_count() const;
-
   /// Stops the pool: already-queued tasks are drained (never
   /// abandoned — a RunOnLanes in flight when Shutdown begins completes
   /// normally), then every worker is joined. Idempotent and safe to
@@ -67,7 +65,7 @@ class ThreadPool {
   void Shutdown();
 
   /// Runs body(0), ..., body(lanes - 1): lane 0 on the calling thread,
-  /// the rest as stealable pool tasks. Blocks until every lane
+  /// the rest as queued pool tasks. Blocks until every lane
   /// finished; rethrows the first exception any lane threw. Called from
   /// inside a pool worker (nested parallelism), runs every lane inline
   /// on the caller instead — the subsystem never deadlocks on its own
@@ -111,8 +109,8 @@ bool ParallelConfigured();
 /// Chunked parallel loop over [begin, end): splits the range into
 /// fixed `grain`-sized chunks (geometry independent of the lane count)
 /// and lets `lanes` lanes claim chunks through a shared atomic cursor —
-/// work stealing at chunk granularity, so an uneven chunk only delays
-/// its own lane. body(chunk_begin, chunk_end) must be safe to run
+/// dynamic balancing at chunk granularity, so an uneven chunk only
+/// delays its own lane. body(chunk_begin, chunk_end) must be safe to run
 /// concurrently for disjoint chunks. Runs inline when lanes <= 1, the
 /// range fits one grain, or the caller is itself a pool worker.
 template <typename Body>
@@ -144,12 +142,6 @@ void ParallelFor(size_t begin, size_t end, size_t grain, size_t lanes,
       body(b, e);
     }
   });
-}
-
-/// ParallelFor with the process-wide effective lane count.
-template <typename Body>
-void ParallelFor(size_t begin, size_t end, size_t grain, const Body& body) {
-  ParallelFor(begin, end, grain, EffectiveLanes(), body);
 }
 
 }  // namespace parallel

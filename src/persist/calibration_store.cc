@@ -15,11 +15,12 @@ constexpr uint64_t kCalibrationVersion = 1;
 
 /// kernel_name points at a static literal in the running process; a
 /// string loaded from disk must be mapped back onto one. An unknown
-/// name (a future tier, or a hand-edited file) stays readable but is
-/// reported as "pinned" — the name is informational only, the doubles
-/// are what the budget math consumes.
+/// name (a tier this build no longer has, a future tier, or a
+/// hand-edited file) stays readable but is reported as "pinned" — the
+/// name is informational only, the doubles are what the budget math
+/// consumes.
 const char* InternKernelName(const std::string& name) {
-  static const char* const kKnown[] = {"scalar", "sse2", "avx2", "avx512"};
+  static const char* const kKnown[] = {"scalar", "avx2", "avx512"};
   for (const char* k : kKnown) {
     if (name == k) return k;
   }

@@ -7,6 +7,7 @@
 #include "common/predication.h"
 #include "common/rng.h"
 #include "common/types.h"
+#include "tests/oracle.h"
 
 namespace progidx {
 namespace {
@@ -76,7 +77,7 @@ TEST(RngTest, GaussianRoughMoments) {
 
 class ScanKernelTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(ScanKernelTest, PredicatedMatchesBranched) {
+TEST_P(ScanKernelTest, PredicatedMatchesOracle) {
   Rng rng(GetParam());
   std::vector<value_t> data(1000);
   for (value_t& v : data) {
@@ -88,7 +89,7 @@ TEST_P(ScanKernelTest, PredicatedMatchesBranched) {
     if (lo > hi) std::swap(lo, hi);
     const RangeQuery q{lo, hi};
     const QueryResult a = PredicatedRangeSum(data.data(), data.size(), q);
-    const QueryResult b = BranchedRangeSum(data.data(), data.size(), q);
+    const QueryResult b = OracleRangeSum(data.data(), data.size(), q);
     EXPECT_EQ(a, b);
   }
 }

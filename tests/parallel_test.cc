@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -89,6 +90,37 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
       ASSERT_EQ(hits[i].load(), 1) << "index " << i << " lanes " << lanes;
     }
   }
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersEachCoverTheirRange) {
+  // Several callers share the one task queue at once: every call's
+  // lanes must cover that caller's own range exactly once, whichever
+  // workers run them.
+  constexpr size_t kCallers = 4;
+  constexpr size_t kN = 50001;
+  constexpr int kRounds = 8;
+  std::vector<std::vector<std::atomic<int>>> hits(kCallers);
+  for (auto& h : hits) h = std::vector<std::atomic<int>>(kN);
+  std::atomic<int> misses{0};
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; c++) {
+    callers.emplace_back([&hits, &misses, c] {
+      std::vector<std::atomic<int>>& mine = hits[c];
+      for (int round = 1; round <= kRounds; round++) {
+        parallel::ParallelFor(0, kN, 512, 4, [&](size_t b, size_t e) {
+          for (size_t i = b; i < e; i++) mine[i].fetch_add(1);
+        });
+        for (size_t i = 0; i < kN; i++) {
+          if (mine[i].load() != round) {
+            misses.fetch_add(1);
+            return;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : callers) t.join();
+  EXPECT_EQ(misses.load(), 0);
 }
 
 TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
@@ -543,6 +575,30 @@ TEST(ParallelCostModelTest, LeafFloorRaisesRefinementPrediction) {
   EXPECT_DOUBLE_EQ(
       model.QuicksortRefineWithLeafFloor(4, 0.1, 0.0, leaf),
       model.QuicksortRefine(4, 0.1, 0.0));
+}
+
+TEST(ParallelCostModelTest, QuicksortPricesCreationPartitionSerial) {
+  // pq's first query partitions a δ slice (2^20 · 0.1 rows, past the
+  // chunked partition's gate) and scans the rest of the column. Only
+  // the scan share is priced at the range sum's lane curve; the
+  // partition, whose lanes pay far less, stays serial-priced.
+  const MachineConstants mc = SyntheticConstants();
+  constexpr size_t kN = size_t{1} << 20;
+  constexpr double kDelta = 0.1;
+  const Column column = MakeUniformColumn(kN, 43);
+  ProgressiveOptions options;
+  options.machine = &mc;
+  EnsureParallelConfigured();
+  auto first_prediction = [&](size_t lanes) {
+    ScopedLanes scoped(lanes);
+    ProgressiveQuicksort index(column, BudgetSpec::FixedDelta(kDelta),
+                               options);
+    index.Query({0, static_cast<value_t>(kN / 10)});
+    return index.last_predicted_cost();
+  };
+  const double scan_term = (1.0 - kDelta) * CostModel(mc, kN).ScanSecs();
+  EXPECT_NEAR(first_prediction(1) - first_prediction(4),
+              scan_term * (1.0 - 1.0 / 3.2), 1e-9 * scan_term);
 }
 
 TEST(ParallelCostModelTest, ScanScaleCurvePricesThreadedWork) {

@@ -21,6 +21,7 @@
 #include "core/progressive_radixsort_msd.h"
 #include "eval/registry.h"
 #include "tests/fixed_constants.h"
+#include "tests/oracle.h"
 #include "workload/data_generator.h"
 
 namespace progidx {
@@ -49,18 +50,6 @@ int PhaseOf(const IndexBase& index) {
 }
 
 int PhaseCount(const std::string& algo) { return algo == "plsd" ? 5 : 4; }
-
-/// SUM/COUNT of the column's values in [q.low, q.high], summed mod 2^64.
-QueryResult Oracle(const Column& column, const RangeQuery& q) {
-  uint64_t sum = 0;
-  int64_t count = 0;
-  for (const value_t v : column.values()) {
-    if (v < q.low || v > q.high) continue;
-    sum += static_cast<uint64_t>(v);
-    count++;
-  }
-  return {static_cast<int64_t>(sum), count};
-}
 
 /// 4096 values in [2^61, 2^61 + 2^20): the domain is narrow but every
 /// wide SUM exceeds INT64_MAX and wraps.
@@ -144,7 +133,7 @@ TEST_P(ProgressiveDomainEdgeTest, AnswersMatchUnsignedOracleInEveryPhase) {
       index->QueryBatch(group, batch, out.data());
     }
     for (size_t i = 0; i < batch; i++) {
-      ASSERT_EQ(out[i], Oracle(column, group[i]))
+      ASSERT_EQ(out[i], OracleRangeSum(column, group[i]))
           << algo << " " << kind << " step " << step << " query ["
           << group[i].low << ", " << group[i].high << "] phase "
           << PhaseOf(*index);

@@ -10,9 +10,9 @@
 #include <tuple>
 #include <vector>
 
-#include "common/predication.h"
 #include "common/rng.h"
 #include "eval/registry.h"
+#include "tests/oracle.h"
 #include "workload/data_generator.h"
 #include "workload/skyserver.h"
 
@@ -94,8 +94,7 @@ TEST_P(DifferentialSoakTest, AgreesWithNaiveScanAlways) {
   bool was_converged = false;
   for (int i = 0; i < 120; i++) {
     const RangeQuery q = RandomQuery(column, &rng);
-    const QueryResult expected =
-        BranchedRangeSum(column.data(), column.size(), q);
+    const QueryResult expected = OracleRangeSum(column, q);
     const QueryResult got = index->Query(q);
     ASSERT_EQ(got.sum, expected.sum)
         << id << " seed=" << seed << " query " << i << " [" << q.low << ","

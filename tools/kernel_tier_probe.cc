@@ -15,14 +15,14 @@
 
 int main(int argc, char** argv) {
   if (argc != 2) {
-    std::fprintf(stderr, "usage: kernel_tier_probe <scalar|sse2|avx2|avx512>\n");
+    std::fprintf(stderr, "usage: kernel_tier_probe <scalar|avx2|avx512>\n");
     return 2;
   }
   std::printf("cores: %u detected, %zu pool lanes\n",
               std::thread::hardware_concurrency(),
               progidx::parallel::DefaultLanes());
   const progidx::kernels::KernelOps& ops =
-      progidx::kernels::ResolveKernels(argv[1], /*force_scalar=*/false);
+      progidx::kernels::ResolveKernels(argv[1]);
   if (std::strcmp(ops.name, argv[1]) == 0) {
     std::printf("%s: supported\n", argv[1]);
     return 0;
