@@ -355,23 +355,6 @@ int64_t RangeSumAtLanes(const value_t* data, size_t n, size_t lanes) {
   return parallel::RangeSumPredicatedWithLanes(data, n, q, lanes).sum;
 }
 
-/// One two-sided partition of data[0, n) around n/2 into `dst`: the
-/// serial dispatched kernel at one lane, the chunked composite at the
-/// lane count the caller has forced otherwise. Returns the low side's
-/// size. Shared by both per-lane sweeps, like RangeSumAtLanes.
-int64_t PartitionAtLanes(const value_t* data, size_t n, size_t lanes,
-                         value_t* dst) {
-  size_t lo = 0;
-  int64_t hi = static_cast<int64_t>(n) - 1;
-  const value_t pivot = static_cast<value_t>(n / 2);
-  if (lanes <= 1) {
-    kernels::Dispatch().partition_two_sided(data, n, pivot, dst, &lo, &hi);
-  } else {
-    parallel::PartitionTwoSided(data, n, pivot, dst, &lo, &hi);
-  }
-  return static_cast<int64_t>(lo);
-}
-
 /// The `lanes` rows: µs per call of every thread-pool path the indexes
 /// keep (docs/parallel.md), at T = 1 (the serial kernel) and forced
 /// T = 2, 4, across the element counts a budgeted slice spans. A row
@@ -380,8 +363,7 @@ int64_t PartitionAtLanes(const value_t* data, size_t n, size_t lanes,
 /// touch 2^22 elements, best of `reps`, with the lane counts
 /// interleaved per rep; RadixSortFlat's input is re-copied and the
 /// bucket chains are emptied outside the timer before every call. The
-/// scan and the partition stop at 2^20: the `threads` rows already time
-/// them at 2^22.
+/// scan stops at 2^20: its `threads` row already times it at 2^22.
 std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
   constexpr size_t kSizes[] = {size_t{1} << 15, size_t{1} << 17,
                                size_t{1} << 19, size_t{1} << 20,
@@ -413,11 +395,6 @@ std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
       {"RangeSumPredicated",
        [&](size_t n, size_t lanes) {
          throughput_sink = RangeSumAtLanes(data.data(), n, lanes);
-       },
-       nullptr, size_t{1} << 20},
-      {"PartitionTwoSided",
-       [&](size_t n, size_t lanes) {
-         throughput_sink = PartitionAtLanes(data.data(), n, lanes, dst.data());
        },
        nullptr, size_t{1} << 20},
       {"CopyRunsTo",
@@ -622,14 +599,6 @@ void WriteKernelThroughputJson(const char* path) {
       throughput_sink = RangeSumAtLanes(data.data(), kN, t);
     });
   };
-  auto partition_at = [&](size_t t) {
-    parallel::SetLanesForTesting(t);
-    const double secs = MeasureSecsOnce(nop, [&] {
-      throughput_sink = PartitionAtLanes(data.data(), kN, t, dst.data());
-    });
-    parallel::SetLanesForTesting(0);
-    return secs;
-  };
   auto scatter_at = [&](size_t t) {
     return MeasureSecsOnce(nop, [&] {
       uint64_t counts[256] = {};
@@ -651,7 +620,6 @@ void WriteKernelThroughputJson(const char* path) {
   };
   const std::vector<ThreadSweep> sweeps = {
       {"predicated_range_sum", rs_at},
-      {"partition_two_sided", partition_at},
       {"radix_histogram_scatter", scatter_at},
   };
   for (const ThreadSweep& sweep : sweeps) {

@@ -21,20 +21,24 @@ void AdaptiveAdaptiveIndexing::RangePartition(size_t start, size_t end,
   if (lo == hi) return;
   // Equal-width value partition, materialized out of place (AA's
   // radix-partition step with software-managed buffers reduces to this
-  // on a value domain).
-  const uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
-  const uint64_t width = (range + fanout - 1) / fanout;
+  // on a value domain). Offsets from lo are uint64_t, which holds a
+  // domain spanning all of int64; width = span / fanout + 1 is
+  // ceil((span + 1) / fanout) without overflowing, so every bucket id
+  // stays below fanout.
+  const uint64_t base = static_cast<uint64_t>(lo);
+  const uint64_t width = (static_cast<uint64_t>(hi) - base) / fanout + 1;
   std::vector<std::vector<value_t>> parts(fanout);
   const size_t expected = (end - start) / fanout + 1;
   for (auto& part : parts) part.reserve(expected);
   for (size_t i = start; i < end; i++) {
-    parts[static_cast<size_t>(static_cast<uint64_t>(data[i] - lo) / width)]
-        .push_back(data[i]);
+    parts[(static_cast<uint64_t>(data[i]) - base) / width].push_back(data[i]);
   }
   size_t pos = start;
   for (size_t p = 0; p < fanout; p++) {
+    // A boundary goes in only with values on both sides of it, so some
+    // value's offset is >= p * width: the boundary lies in [lo, hi].
     if (p > 0 && pos > start && pos < end) {
-      cracker_.index().Insert(lo + static_cast<value_t>(p * width), pos);
+      cracker_.index().Insert(static_cast<value_t>(base + p * width), pos);
     }
     for (const value_t v : parts[p]) data[pos++] = v;
   }

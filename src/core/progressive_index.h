@@ -114,14 +114,6 @@ class ProgressiveIndex : public IndexBase {
   /// Builds the B+-tree over SortedArray() and starts consolidating it.
   void EnterConsolidation();
 
-  /// The query prologue for budget query `q` (a batch's head):
-  /// budget→δ, cost prediction, and δ·op_secs of indexing work.
-  void PrepareQuery(const RangeQuery& q);
-  /// Answers the batch against the current state, overwriting out[0,
-  /// count); returns the leaves read on the tree path (0 while
-  /// building).
-  size_t AnswerBatch(const RangeQuery* qs, size_t count,
-                     QueryResult* out) const;
   /// Fraction of the domain a query selects (cheap selectivity proxy).
   double SelectivityEstimate(const RangeQuery& q) const;
 
@@ -183,6 +175,14 @@ class ProgressiveIndex : public IndexBase {
   /// Performs `secs` worth of indexing work, cascading across phase
   /// transitions.
   void DoWorkSecs(double secs);
+  /// The query prologue for budget query `q` (a batch's head):
+  /// budget→δ, cost prediction, and δ·op_secs of indexing work.
+  void PrepareQuery(const RangeQuery& q);
+  /// Answers the batch against the current state, overwriting out[0,
+  /// count); returns the leaves read on the tree path (0 while
+  /// building).
+  size_t AnswerBatch(const RangeQuery* qs, size_t count,
+                     QueryResult* out) const;
 
   const int build_phases_;
   int phase_ = 0;

@@ -1,10 +1,9 @@
 #include "core/progressive_quicksort.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/predication.h"
-#include "common/rng.h"
+#include "kernels/kernels.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
@@ -69,10 +68,8 @@ ProgressiveIndex::Prediction ProgressiveQuicksort::PredictBuild(
     // regions here are big contiguous spans, unlike the radix/bucket
     // indexes' block-wise chain walks, which stay serial), so it is
     // re-priced with the measured parallel-efficiency curve. The
-    // δ·t_pivot partition is priced serial: the chunked partition runs
-    // on the pool too, but the range sum's curve overstates its
-    // speedup (docs/parallel.md). Work units themselves stay
-    // serial-priced either way.
+    // δ·t_pivot partition runs serial and is priced serial. Work units
+    // themselves stay serial-priced either way.
     const double pivot_term = delta * model_.PivotSecs();
     const double scan_term = (1.0 - rho + alpha - delta) * model_.ScanSecs();
     const size_t scanned = static_cast<size_t>((1.0 - rho + alpha) * n);
@@ -115,13 +112,11 @@ size_t ProgressiveQuicksort::BuildWork(size_t units) {
     return std::max(used, size_t{1});
   }
   const size_t elems = std::min(units, n - copy_pos_);
-  // Two-sided partition (§3.1), via the parallel primitive: chunks of
-  // the slice partition concurrently into precomputed disjoint frontier
-  // slices (each chunk through the dispatched kernel — compress-store on
-  // AVX2/AVX-512, predicated dual-frontier writes in the scalar tier),
-  // so the same δ of budgeted work finishes in 1/T the wall-clock time.
-  parallel::PartitionTwoSided(column_.data() + copy_pos_, elems, pivot_,
-                              index_.data(), &low_pos_, &high_pos_);
+  // Two-sided partition (§3.1) through the dispatched kernel
+  // (compress-store on AVX2/AVX-512, predicated dual-frontier writes in
+  // the scalar tier), on the calling thread at every lane count.
+  kernels::PartitionTwoSided(column_.data() + copy_pos_, elems, pivot_,
+                             index_.data(), &low_pos_, &high_pos_);
   copy_pos_ += elems;
   if (copy_pos_ == n) {
     // Creation done: index_ is partitioned around pivot_ at low_pos_;
@@ -133,24 +128,6 @@ size_t ProgressiveQuicksort::BuildWork(size_t units) {
     if (sorter_.done()) EnterConsolidation();
   }
   return elems;
-}
-
-void ProgressiveQuicksort::ScanFringes(const RangeQuery* qs,
-                                       size_t count) const {
-  // The bottom fringe holds values below the pivot, the top one the
-  // rest: a fringe no query reaches adds zero and is skipped.
-  bool low = false;
-  bool high = false;
-  for (size_t i = 0; i < count; i++) {
-    low = low || qs[i].low < pivot_;
-    high = high || qs[i].high >= pivot_;
-  }
-  const size_t n = column_.size();
-  if (low && low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
-  if (high && high_pos_ + 1 < static_cast<int64_t>(n)) {
-    const size_t start = static_cast<size_t>(high_pos_ + 1);
-    pset_.Scan(index_.data() + start, n - start);
-  }
 }
 
 double ProgressiveQuicksort::BuildConvergenceFraction() const {
@@ -167,9 +144,21 @@ void ProgressiveQuicksort::AnswerBuildBatch(const RangeQuery* qs,
   const size_t n = column_.size();
   if (phase() == Phase::kCreation) {
     // One shared pass each over the reached fringes and the
-    // not-yet-copied tail.
+    // not-yet-copied tail. The bottom fringe holds values below the
+    // pivot, the top one the rest: a fringe no query reaches adds zero
+    // and is skipped.
+    bool low = false;
+    bool high = false;
+    for (size_t i = 0; i < count; i++) {
+      low = low || qs[i].low < pivot_;
+      high = high || qs[i].high >= pivot_;
+    }
     pset_.Reset(qs, count);
-    ScanFringes(qs, count);
+    if (low && low_pos_ > 0) pset_.Scan(index_.data(), low_pos_);
+    if (high && high_pos_ + 1 < static_cast<int64_t>(n)) {
+      const size_t start = static_cast<size_t>(high_pos_ + 1);
+      pset_.Scan(index_.data() + start, n - start);
+    }
     pset_.Scan(column_.data() + copy_pos_, n - copy_pos_);
     pset_.AccumulateInto(out);
     return;
@@ -231,69 +220,6 @@ bool ProgressiveQuicksort::LoadBody(persist::Reader* r) {
   }
   return phase() != Phase::kRefinement ||
          sorter_.LoadState(r, index_.data(), n);
-}
-
-ApproximateResult ProgressiveQuicksort::QueryApproximate(const RangeQuery& q,
-                                                         size_t samples,
-                                                         uint64_t seed) {
-  ApproximateResult result;
-  if (column_.empty()) {
-    result.exact = true;
-    return result;
-  }
-  // Perform this query's share of indexing work, exactly like Query():
-  // the approximate path still builds the index as a by-product.
-  PrepareQuery(q);
-  if (phase() != Phase::kCreation) {
-    // Refinement onwards: every element is in the index, so the exact
-    // answer is already cheap.
-    QueryResult exact;
-    AnswerBatch(&q, 1, &exact);
-    result.sum = static_cast<double>(exact.sum);
-    result.count = static_cast<double>(exact.count);
-    result.exact = true;
-    return result;
-  }
-  // Creation phase: exact over the indexed fringes...
-  QueryResult indexed;
-  pset_.Reset(&q, 1);
-  ScanFringes(&q, 1);
-  pset_.AccumulateInto(&indexed);
-  result.sum = static_cast<double>(indexed.sum);
-  result.count = static_cast<double>(indexed.count);
-  // ...plus a Horvitz-Thompson estimate of the unindexed remainder from
-  // a uniform with-replacement sample.
-  const size_t remainder = column_.size() - copy_pos_;
-  if (remainder == 0) {
-    result.exact = true;
-    return result;
-  }
-  if (samples == 0) samples = 1;
-  Rng rng(seed);
-  const double scale =
-      static_cast<double>(remainder) / static_cast<double>(samples);
-  double sample_sum = 0;
-  double sample_sq = 0;
-  double sample_count = 0;
-  const value_t* base = column_.data() + copy_pos_;
-  for (size_t i = 0; i < samples; i++) {
-    const value_t v = base[rng.NextBounded(remainder)];
-    const bool match = v >= q.low && v <= q.high;
-    const double contribution = match ? static_cast<double>(v) : 0.0;
-    sample_sum += contribution;
-    sample_sq += contribution * contribution;
-    sample_count += match ? 1.0 : 0.0;
-  }
-  result.sum += sample_sum * scale;
-  result.count += sample_count * scale;
-  const double mean = sample_sum / static_cast<double>(samples);
-  const double variance =
-      sample_sq / static_cast<double>(samples) - mean * mean;
-  result.sum_stderr = static_cast<double>(remainder) *
-                      std::sqrt(std::max(variance, 0.0) /
-                                static_cast<double>(samples));
-  result.exact = false;
-  return result;
 }
 
 }  // namespace progidx

@@ -9,20 +9,6 @@
 
 namespace progidx {
 
-/// Result of an approximate range-aggregate (§6, "Approximate Query
-/// Processing"): an unbiased estimate with a standard error, computed
-/// from the exact indexed part plus a uniform sample of the
-/// not-yet-indexed remainder. Once the index converges the answer is
-/// exact and the error collapses to zero.
-struct ApproximateResult {
-  double sum = 0;
-  double count = 0;
-  /// Standard error of `sum`; a ~95% interval is sum ± 2·sum_stderr.
-  double sum_stderr = 0;
-  /// True when the whole answer came from indexed (exact) data.
-  bool exact = false;
-};
-
 /// Progressive Quicksort (§3.1).
 ///
 /// Creation: copies δ·N elements per query from the base column into an
@@ -38,16 +24,6 @@ class ProgressiveQuicksort : public ProgressiveIndex {
                        const ProgressiveOptions& options = {});
 
   std::string name() const override { return "P. Quicksort"; }
-
-  /// §6 extension: answers approximately within the interactivity
-  /// budget. Performs the same per-query indexing work as Query(), then
-  /// answers exactly from the indexed part and estimates the
-  /// contribution of the not-yet-indexed remainder from `samples`
-  /// uniformly drawn elements (so the approximate path costs
-  /// O(indexed + samples) instead of a full scan during the creation
-  /// phase). After the creation phase the result is exact.
-  ApproximateResult QueryApproximate(const RangeQuery& q, size_t samples,
-                                     uint64_t seed = 7);
 
   Phase phase() const { return static_cast<Phase>(phase_index()); }
   /// The index array (exposed for invariant tests).
@@ -67,9 +43,6 @@ class ProgressiveQuicksort : public ProgressiveIndex {
   void SaveBody(persist::Writer* w) const override;
   bool LoadBody(persist::Reader* r) override;
   const value_t* SortedArray() const override { return index_.data(); }
-  /// Creation phase: scans into pset_ the partitioned fringes of
-  /// index_ that any of qs[0, count) reaches.
-  void ScanFringes(const RangeQuery* qs, size_t count) const;
 
   std::vector<value_t> index_;
   value_t pivot_ = 0;

@@ -9,8 +9,6 @@
 #include "baselines/stochastic_cracking.h"
 #include "core/progressive_bucketsort.h"
 #include "core/progressive_radixsort_lsd.h"
-#include "core/progressive_hashtable.h"
-#include "core/progressive_imprints.h"
 #include "core/progressive_radixsort_msd.h"
 
 namespace progidx {
@@ -46,12 +44,6 @@ std::unique_ptr<IndexBase> MakeIndex(const std::string& id,
   if (id == "pb") {
     return std::make_unique<ProgressiveBucketsort>(column, budget, options);
   }
-  if (id == "phash") {
-    return std::make_unique<ProgressiveHashTable>(column, budget, options);
-  }
-  if (id == "pimprints") {
-    return std::make_unique<ProgressiveImprints>(column, budget, options);
-  }
   std::fprintf(stderr, "unknown index id: %s\n", id.c_str());
   std::abort();
 }
@@ -66,12 +58,6 @@ const std::vector<std::string>& AllIndexIds() {
 const std::vector<std::string>& ProgressiveIndexIds() {
   static const std::vector<std::string>* ids =
       new std::vector<std::string>{"pq", "pmsd", "plsd", "pb"};
-  return *ids;
-}
-
-const std::vector<std::string>& ExtensionIndexIds() {
-  static const std::vector<std::string>* ids =
-      new std::vector<std::string>{"phash", "pimprints"};
   return *ids;
 }
 

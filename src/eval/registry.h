@@ -25,11 +25,6 @@ const std::vector<std::string>& AllIndexIds();
 /// The four progressive-index identifiers.
 const std::vector<std::string>& ProgressiveIndexIds();
 
-/// The §6 future-work extensions implemented in this library:
-/// "phash" (Progressive Hash Table), "pimprints" (Progressive Column
-/// Imprints).
-const std::vector<std::string>& ExtensionIndexIds();
-
 }  // namespace progidx
 
 #endif  // PROGIDX_EVAL_REGISTRY_H_

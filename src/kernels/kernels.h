@@ -41,10 +41,11 @@
 // All tiers produce *bit-identical* query results: sums/counts are
 // exact int64 arithmetic (associative mod 2^64, so lane order is free),
 // partition frontiers advance by the same counts, and the stable
-// scatter produces the same permutation. The in-place crack may order
-// elements differently *within* the two sides across tiers (every tier
-// yields a valid partition with the same boundary — the contract every
-// caller relies on). See docs/kernels.md.
+// scatter produces the same permutation. The two-sided partition and
+// the in-place crack may order elements differently *within* the two
+// sides across tiers (every tier yields a valid partition with the
+// same boundary — the contract every caller relies on), so index state
+// built on them depends on the tier. See docs/kernels.md.
 
 namespace progidx {
 namespace kernels {
@@ -66,7 +67,9 @@ struct KernelOps {
   /// Two-sided out-of-place partition: the Progressive Quicksort
   /// creation loop. Each src value is written to the low (< pivot) or
   /// high (>= pivot) frontier of dst; `*lo_pos` / `*hi_pos` are the
-  /// next write slots and are advanced in place.
+  /// next write slots and are advanced in place. Tiers agree on the
+  /// frontier advances, not on the order within a side nor on the
+  /// stray predicated writes left between the frontiers.
   void (*partition_two_sided)(const value_t* src, size_t n, value_t pivot,
                               value_t* dst, size_t* lo_pos,
                               int64_t* hi_pos);

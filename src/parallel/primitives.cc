@@ -1,8 +1,6 @@
 #include "parallel/primitives.h"
 
-#include <algorithm>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "kernels/kernels.h"
@@ -31,21 +29,6 @@ size_t PlannedLanes(size_t n) {
   if (n < kMinParallelElements) return 1;
   return EffectiveLanes();
 }
-
-namespace {
-/// The chunked-layout gate of PartitionTwoSided: at least two fixed
-/// chunks, keyed off the sticky ParallelConfigured() rather than the
-/// instantaneous lane count.
-bool PartitionGoesChunked(size_t n) {
-  return ParallelConfigured() && n >= 2 * kPartitionChunk;
-}
-
-/// Lanes the chunked partition runs on for `n` elements.
-size_t PlannedPartitionLanes(size_t n) {
-  if (!PartitionGoesChunked(n)) return 1;
-  return std::min(EffectiveLanes(), ChunkCount(n, kPartitionChunk));
-}
-}  // namespace
 
 QueryResult RangeSumPredicatedWithLanes(const value_t* data, size_t n,
                                         const RangeQuery& q, size_t lanes) {
@@ -78,86 +61,6 @@ QueryResult RangeSumPredicatedWithLanes(const value_t* data, size_t n,
 QueryResult RangeSumPredicated(const value_t* data, size_t n,
                                const RangeQuery& q) {
   return RangeSumPredicatedWithLanes(data, n, q, PlannedLanes(n));
-}
-
-void PartitionTwoSided(const value_t* src, size_t n, value_t pivot,
-                       value_t* dst, size_t* lo_pos, int64_t* hi_pos) {
-  const kernels::KernelOps& ops = kernels::Dispatch();
-  // The chunked layout orders the high side run-by-run instead of the
-  // serial kernel's element order, so large inputs commit to it as soon
-  // as the *process* is parallel-configured — not when the
-  // instantaneous lane count happens to exceed 1 — keeping the index
-  // array independent of thread-count changes between queries (both
-  // layouts are valid partitions with the same boundary, the contract
-  // every caller relies on; see kernels.h on crack_in_place).
-  if (!PartitionGoesChunked(n)) {
-    ops.partition_two_sided(src, n, pivot, dst, lo_pos, hi_pos);
-    return;
-  }
-  const size_t chunks = ChunkCount(n, kPartitionChunk);
-  const size_t lanes = PlannedPartitionLanes(n);
-  // Counting pass: each chunk's share of the low frontier.
-  std::vector<size_t> lows(chunks);
-  if (pivot == std::numeric_limits<value_t>::min()) {
-    std::fill(lows.begin(), lows.end(), size_t{0});
-  } else {
-    const RangeQuery below{std::numeric_limits<value_t>::min(),
-                           static_cast<value_t>(pivot - 1)};
-    ParallelFor(0, chunks, 1, lanes, [&](size_t cb, size_t ce) {
-      for (size_t c = cb; c < ce; c++) {
-        const size_t b = c * kPartitionChunk;
-        const size_t len = std::min(kPartitionChunk, n - b);
-        lows[c] = static_cast<size_t>(
-            ops.range_sum_predicated(src + b, len, below).count);
-      }
-    });
-  }
-  // Exclusive prefix sums place every chunk's low run ascending from
-  // *lo_pos and its high run descending from *hi_pos, in chunk order —
-  // disjoint slices, so the partition pass needs no synchronization.
-  std::vector<size_t> lo_off(chunks);
-  std::vector<int64_t> hi_off(chunks);
-  size_t acc_low = 0;
-  size_t acc_high = 0;
-  for (size_t c = 0; c < chunks; c++) {
-    const size_t b = c * kPartitionChunk;
-    const size_t len = std::min(kPartitionChunk, n - b);
-    lo_off[c] = *lo_pos + acc_low;
-    hi_off[c] = *hi_pos - static_cast<int64_t>(acc_high);
-    acc_low += lows[c];
-    acc_high += len - lows[c];
-  }
-  ParallelFor(0, chunks, 1, lanes, [&](size_t cb, size_t ce) {
-    // Per-worker staging. The predicated kernels deliberately write
-    // both frontiers every element (and the AVX2 permute variant has
-    // vector-width clobber slack), so partitioning chunks *in place*
-    // would stray one slot into the neighbouring chunk's slice — a data
-    // race TSan rightly flags. A [0, len) scratch contains every such
-    // write (the cursors provably stay inside a full-span partition);
-    // the two finished runs then land in the disjoint dst slices with
-    // plain memcpys. The scratch stays L2-resident at this chunk size.
-    // thread_local resolves per executing worker, which is exactly what
-    // staging wants.
-    static thread_local std::vector<value_t> scratch_store;
-    if (scratch_store.size() < kPartitionChunk) {
-      scratch_store.resize(kPartitionChunk);
-    }
-    value_t* const scratch = scratch_store.data();
-    for (size_t c = cb; c < ce; c++) {
-      const size_t b = c * kPartitionChunk;
-      const size_t len = std::min(kPartitionChunk, n - b);
-      size_t lo_s = 0;
-      int64_t hi_s = static_cast<int64_t>(len) - 1;
-      ops.partition_two_sided(src + b, len, pivot, scratch, &lo_s, &hi_s);
-      std::memcpy(dst + lo_off[c], scratch, lo_s * sizeof(value_t));
-      const size_t highs = len - lo_s;
-      std::memcpy(dst + static_cast<size_t>(
-                            hi_off[c] + 1 - static_cast<int64_t>(highs)),
-                  scratch + lo_s, highs * sizeof(value_t));
-    }
-  });
-  *lo_pos += acc_low;
-  *hi_pos -= static_cast<int64_t>(acc_high);
 }
 
 void RadixHistogram(const value_t* src, size_t n, value_t base, int shift,

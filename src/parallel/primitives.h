@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "common/types.h"
+#include "kernels/kernels.h"
 #include "parallel/thread_pool.h"
 #include "storage/bucket_chain.h"
 
@@ -14,13 +15,14 @@
 // tiers (kernels/kernels.h): each one splits its input into chunks,
 // runs the *dispatched* kernel per chunk on the pool, and recombines
 // deterministically. Results are bit-identical to the serial kernel for
-// every lane count — sums are exact mod 2^64, and partition, scatter
-// and copy chunks land in precomputed disjoint output slices — so the
+// every lane count — sums are exact mod 2^64, and scatter, copy and
+// gather chunks land in precomputed disjoint output slices — so the
 // progressive indexes can split a per-query indexing budget across
 // workers without their state ever depending on the thread count (the
 // parity tests in tests/parallel_test.cc enforce exactly this for T in
 // {1, 2, 4, 8}). Only paths that measured faster on real cores are
-// here; the bucket-chain appends stay serial (docs/parallel.md).
+// here; the two-sided partition and the bucket-chain appends stay
+// serial (docs/parallel.md).
 //
 // Every primitive falls back to the serial kernel below a size
 // threshold (or when only one lane is configured), so small budgeted
@@ -40,7 +42,6 @@ constexpr size_t kMinParallelElements = size_t{1} << 15;
 /// count (lanes only claim chunks), which is what makes every
 /// recombination bit-deterministic across T.
 constexpr size_t kScanGrain = size_t{1} << 14;
-constexpr size_t kPartitionChunk = size_t{1} << 15;
 
 /// Lanes a primitive will actually use for an input of `n` elements
 /// (1 when the serial fast path applies). The cost model prices a
@@ -59,16 +60,10 @@ QueryResult RangeSumPredicated(const value_t* data, size_t n,
 QueryResult RangeSumPredicatedWithLanes(const value_t* data, size_t n,
                                         const RangeQuery& q, size_t lanes);
 
-/// Parallel two-sided out-of-place partition with the serial kernel's
-/// signature. A counting pass sizes each fixed chunk's share of the
-/// low/high frontiers, then every chunk partitions into its own
-/// disjoint dst slices. Once the process is parallel-configured
-/// (ParallelConfigured()), large inputs always take the chunked layout
-/// — even at an instantaneous lane count of 1 — so the index array
-/// never depends on *when* the thread count changed, only chunk
-/// executors do.
-void PartitionTwoSided(const value_t* src, size_t n, value_t pivot,
-                       value_t* dst, size_t* lo_pos, int64_t* hi_pos);
+/// The serial two-sided partition (kernels/kernels.h) under the name
+/// perfbench's layer probe calls; nothing in src/ uses it. Delete once
+/// that call names kernels::PartitionTwoSided (ROADMAP item 3).
+using kernels::PartitionTwoSided;
 
 /// Parallel radix histogram: per-chunk private tables, summed in chunk
 /// order. `counts` is added to, not reset (serial contract). `lanes` =
@@ -104,7 +99,7 @@ struct SrcRun {
 
 /// The serial radix chain scatter (storage/bucket_chain.h) under the
 /// name perfbench's layer probe calls; nothing in src/ uses it. Delete
-/// once that call names progidx::ScatterToChains (ROADMAP item 7).
+/// once that call names progidx::ScatterToChains (ROADMAP item 3).
 using progidx::ScatterToChains;
 
 /// ScatterToChainsBatched with the id lookup — the part that pays on

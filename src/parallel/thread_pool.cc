@@ -49,8 +49,7 @@ size_t LanesFromEnvironment() {
                                  "hardware concurrency");
 }
 
-std::atomic<size_t> g_test_lanes{0};   // 0 = no override
-std::atomic<bool> g_ever_parallel{false};
+std::atomic<size_t> g_test_lanes{0};  // 0 = no override
 
 }  // namespace
 
@@ -200,11 +199,7 @@ void ThreadPool::RunOnLanes(size_t lanes,
 }
 
 size_t DefaultLanes() {
-  static const size_t lanes = [] {
-    const size_t l = LanesFromEnvironment();
-    if (l > 1) g_ever_parallel.store(true, std::memory_order_release);
-    return l;
-  }();
+  static const size_t lanes = LanesFromEnvironment();
   return lanes;
 }
 
@@ -216,16 +211,10 @@ size_t EffectiveLanes() {
 void SetLanesForTesting(size_t lanes) {
   if (lanes > kMaxLanes) lanes = kMaxLanes;
   g_test_lanes.store(lanes, std::memory_order_release);
-  if (lanes > 1) g_ever_parallel.store(true, std::memory_order_release);
 }
 
 size_t LanesOverrideForTesting() {
   return g_test_lanes.load(std::memory_order_acquire);
-}
-
-bool ParallelConfigured() {
-  if (g_ever_parallel.load(std::memory_order_acquire)) return true;
-  return DefaultLanes() > 1;
 }
 
 }  // namespace parallel

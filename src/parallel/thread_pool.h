@@ -23,7 +23,7 @@
 // built on this pool produces bit-identical results for every lane
 // count, because work is split into lane-count-independent chunks whose
 // outputs either commute exactly (mod-2^64 sums), land in
-// precomputed disjoint slices (partition / scatter offsets), or are
+// precomputed disjoint slices (scatter / copy / gather offsets), or are
 // idempotent per span (leaf sorts). The pool therefore never needs —
 // and never provides — any ordering guarantee between chunks.
 
@@ -82,29 +82,22 @@ class ThreadPool {
 };
 
 /// Lane count resolved from PROGIDX_THREADS / hardware_concurrency once
-/// per process (>= 1). This is the default for every primitive.
+/// per process (>= 1). This is the default for every primitive; it
+/// decides only who runs a chunk, never what an index stores.
 size_t DefaultLanes();
 
 /// DefaultLanes(), unless a test/bench override is active.
 size_t EffectiveLanes();
 
 /// Overrides EffectiveLanes() for tests and thread-sweep benchmarks
-/// (0 clears the override). Any override > 1 also marks the process as
-/// parallel-configured (see ParallelConfigured()), stickily.
+/// (0 clears the override). The override may change between any two
+/// calls: no primitive's output depends on it.
 void SetLanesForTesting(size_t lanes);
 
 /// The current override (0 when none). Lets code that must pin lanes
 /// mid-measurement — the calibration's serial shared-scan probe —
 /// save and restore whatever override its caller had active.
 size_t LanesOverrideForTesting();
-
-/// True once any lane source (environment, hardware, or a testing
-/// override) has ever exceeded 1. Primitives whose *serial* fast path
-/// is laid out differently from the chunked parallel path (the
-/// two-sided partition) key off this instead of the instantaneous lane
-/// count, so an index's layout never depends on *when* a thread-count
-/// override changed — only on whether the process runs parallel at all.
-bool ParallelConfigured();
 
 /// Chunked parallel loop over [begin, end): splits the range into
 /// fixed `grain`-sized chunks (geometry independent of the lane count)

@@ -5,9 +5,13 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "baselines/full_scan.h"
 #include "eval/registry.h"
+#include "exec/zero_budget_scan.h"
+#include "tests/edge_columns.h"
+#include "tests/oracle.h"
 #include "workload/data_generator.h"
 
 namespace progidx {
@@ -89,6 +93,38 @@ TEST_P(AllIndexesTest, TwoDistinctValues) {
     EXPECT_EQ(index->Query(RangeQuery{10, 10}), (QueryResult{15000, 1500}));
     EXPECT_EQ(index->Query(RangeQuery{20, 20}), (QueryResult{30000, 1500}));
     EXPECT_EQ(index->Query(RangeQuery{11, 19}), (QueryResult{0, 0}));
+  }
+}
+
+// Columns at the edges of the 64-bit domain — sums that wrap, widths
+// beyond INT64_MAX, and a two-element column holding both ends of it —
+// under edge queries interleaved with inverted (low > high) ones: every
+// technique, and the zero-budget scan the serving layer degrades to,
+// matches the oracle mod 2^64.
+TEST_P(AllIndexesTest, ValueDomainEdgesMatchOracle) {
+  constexpr value_t kMin = std::numeric_limits<value_t>::min();
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  std::vector<Column> columns;
+  columns.push_back(WrappingSumsColumn());
+  columns.push_back(FullWidthColumn(kMin, kMax - 1));
+  columns.push_back(FullWidthColumn(kMin + 5, kMax));
+  columns.push_back(Column(std::vector<value_t>{kMin, kMax}));
+  for (size_t c = 0; c < columns.size(); c++) {
+    const Column& column = columns[c];
+    std::vector<RangeQuery> qs;
+    for (const RangeQuery& q : EdgeQueries(column, 64)) {
+      qs.push_back(q);
+      if (q.low < q.high) qs.push_back({q.high, q.low});
+    }
+    auto index = MakeIndex(GetParam(), column, BudgetSpec::FixedDelta(0.25));
+    for (size_t i = 0; i < qs.size(); i++) {
+      const QueryResult expected = OracleRangeSum(column, qs[i]);
+      ASSERT_EQ(index->Query(qs[i]), expected)
+          << "column " << c << " query " << i << " [" << qs[i].low << ", "
+          << qs[i].high << "]";
+      ASSERT_EQ(exec::ZeroBudgetScan(column, qs[i]), expected)
+          << "column " << c << " query " << i;
+    }
   }
 }
 

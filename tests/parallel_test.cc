@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <thread>
@@ -68,14 +67,6 @@ MachineConstants SyntheticConstants() {
   return mc;
 }
 
-/// Commits the process to the parallel-configured layouts (sticky; see
-/// ParallelConfigured()) so a determinism test behaves the same whether
-/// it runs alone or after suites that already forced a lane count.
-void EnsureParallelConfigured() {
-  parallel::SetLanesForTesting(2);
-  parallel::SetLanesForTesting(0);
-}
-
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     const size_t n = 100001;
@@ -137,12 +128,8 @@ TEST(ThreadPoolTest, ParallelForPropagatesExceptions) {
 TEST(ThreadPoolTest, LaneOverrideRoundTrips) {
   parallel::SetLanesForTesting(3);
   EXPECT_EQ(parallel::EffectiveLanes(), 3u);
-  EXPECT_TRUE(parallel::ParallelConfigured());
   parallel::SetLanesForTesting(0);
   EXPECT_EQ(parallel::EffectiveLanes(), parallel::DefaultLanes());
-  // Configured is sticky by design: an index whose layout committed to
-  // the chunked paths must never flip back mid-life.
-  EXPECT_TRUE(parallel::ParallelConfigured());
 }
 
 TEST(ParallelPrimitivesTest, RangeSumMatchesSerialBitwise) {
@@ -161,46 +148,6 @@ TEST(ParallelPrimitivesTest, RangeSumMatchesSerialBitwise) {
           parallel::RangeSumPredicatedWithLanes(data.data(), n, q, lanes);
       EXPECT_EQ(par.sum, serial.sum);
       EXPECT_EQ(par.count, serial.count);
-    }
-  }
-}
-
-TEST(ParallelPrimitivesTest, PartitionDeterministicAcrossLanesAndValid) {
-  // Without this the lanes=1 iteration could take the serial-kernel
-  // layout (different high-side order on some tiers) and wrongly
-  // become the reference the chunked runs are compared against.
-  EnsureParallelConfigured();
-  const size_t n = (1 << 18) + 777;
-  const std::vector<value_t> src = RandomValues(n, 5);
-  const value_t pivot = static_cast<value_t>(n / 2);
-  std::vector<value_t> reference;
-  size_t ref_lo = 0;
-  int64_t ref_hi = 0;
-  for (const size_t lanes : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    ScopedLanes scoped(lanes);
-    std::vector<value_t> dst(n, std::numeric_limits<value_t>::max());
-    size_t lo = 0;
-    int64_t hi = static_cast<int64_t>(n) - 1;
-    parallel::PartitionTwoSided(src.data(), n, pivot, dst.data(), &lo, &hi);
-    // Valid two-sided partition: frontiers met, low side < pivot <= high
-    // side, and the output is a permutation of the input.
-    ASSERT_EQ(static_cast<int64_t>(lo), hi + 1);
-    for (size_t i = 0; i < lo; i++) ASSERT_LT(dst[i], pivot);
-    for (size_t i = lo; i < n; i++) ASSERT_GE(dst[i], pivot);
-    std::vector<value_t> sorted_src = src;
-    std::vector<value_t> sorted_dst = dst;
-    std::sort(sorted_src.begin(), sorted_src.end());
-    std::sort(sorted_dst.begin(), sorted_dst.end());
-    ASSERT_EQ(sorted_dst, sorted_src);
-    if (reference.empty()) {
-      reference = dst;
-      ref_lo = lo;
-      ref_hi = hi;
-    } else {
-      // Bit-identical layout for every lane count.
-      ASSERT_EQ(dst, reference);
-      ASSERT_EQ(lo, ref_lo);
-      ASSERT_EQ(hi, ref_hi);
     }
   }
 }
@@ -427,7 +374,6 @@ LaneRun RunAtLanes(size_t lanes, const MakeIndex& make_index,
 /// either (kIndexN·δ = 40k elements clears the pool's 32k lane gate).
 template <typename MakeIndex>
 void ExpectLaneParity(const MakeIndex& make_index) {
-  EnsureParallelConfigured();
   const std::vector<RangeQuery> queries = IndexWorkload(kIndexN, 29);
   const LaneRun reference = RunAtLanes(1, make_index, queries);
   for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
@@ -451,34 +397,41 @@ void ExpectLaneParity(const MakeIndex& make_index) {
 }
 
 TEST(ParallelIndexParityTest, ProgressiveQuicksort) {
+  // δ = 0.5 partitions 100k-element creation slices, δ = 0.2 40k ones.
+  // The larger slices go first, so their T = 1 reference is taken before
+  // this test forces any lane count.
   const MachineConstants mc = SyntheticConstants();
   const Column column = MakeUniformColumn(kIndexN, 23);
   ProgressiveOptions options;
   options.machine = &mc;
   const std::vector<RangeQuery> queries = IndexWorkload(kIndexN, 29);
-  auto make_index = [&] {
-    return std::make_unique<ProgressiveQuicksort>(
-        column, BudgetSpec::FixedDelta(0.2), options);
-  };
-  EnsureParallelConfigured();
-  ScopedLanes scoped1(1);
-  auto ref_index = make_index();
-  std::vector<QueryResult> ref_answers;
-  std::vector<std::vector<value_t>> ref_states;
-  for (const RangeQuery& q : queries) {
-    ref_answers.push_back(ref_index->Query(q));
-    ref_states.push_back(ref_index->index_array());
-  }
-  for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
-    ScopedLanes scoped(lanes);
-    auto index = make_index();
-    for (size_t i = 0; i < queries.size(); i++) {
-      const QueryResult r = index->Query(queries[i]);
-      ASSERT_EQ(r.sum, ref_answers[i].sum) << "query " << i;
-      ASSERT_EQ(r.count, ref_answers[i].count) << "query " << i;
-      // The whole index array, bit for bit, after every query.
-      ASSERT_EQ(index->index_array(), ref_states[i])
-          << "index state after query " << i << " lanes " << lanes;
+  for (const double delta : {0.5, 0.2}) {
+    SCOPED_TRACE(testing::Message() << "delta " << delta);
+    auto make_index = [&] {
+      return std::make_unique<ProgressiveQuicksort>(
+          column, BudgetSpec::FixedDelta(delta), options);
+    };
+    std::vector<QueryResult> ref_answers;
+    std::vector<std::vector<value_t>> ref_states;
+    {
+      ScopedLanes scoped(1);
+      auto ref_index = make_index();
+      for (const RangeQuery& q : queries) {
+        ref_answers.push_back(ref_index->Query(q));
+        ref_states.push_back(ref_index->index_array());
+      }
+    }
+    for (const size_t lanes : {size_t{2}, size_t{4}, size_t{8}}) {
+      ScopedLanes scoped(lanes);
+      auto index = make_index();
+      for (size_t i = 0; i < queries.size(); i++) {
+        const QueryResult r = index->Query(queries[i]);
+        ASSERT_EQ(r.sum, ref_answers[i].sum) << "query " << i;
+        ASSERT_EQ(r.count, ref_answers[i].count) << "query " << i;
+        // The whole index array, bit for bit, after every query.
+        ASSERT_EQ(index->index_array(), ref_states[i])
+            << "index state after query " << i << " lanes " << lanes;
+      }
     }
   }
 }
@@ -528,8 +481,7 @@ TEST(ParallelIndexParityTest, ThreadCountInterleavedAcrossQueries) {
   ProgressiveOptions options;
   options.machine = &mc;
   const std::vector<RangeQuery> queries = IndexWorkload(kIndexN, 41);
-  EnsureParallelConfigured();
-  // Reference: every query at one (configured-parallel) lane.
+  // Reference: every query at one lane.
   std::vector<QueryResult> ref_answers;
   std::vector<value_t> ref_final;
   {
@@ -578,17 +530,15 @@ TEST(ParallelCostModelTest, LeafFloorRaisesRefinementPrediction) {
 }
 
 TEST(ParallelCostModelTest, QuicksortPricesCreationPartitionSerial) {
-  // pq's first query partitions a δ slice (2^20 · 0.1 rows, past the
-  // chunked partition's gate) and scans the rest of the column. Only
-  // the scan share is priced at the range sum's lane curve; the
-  // partition, whose lanes pay far less, stays serial-priced.
+  // pq's first query partitions a δ slice (2^20 · 0.1 rows) and scans
+  // the rest of the column. Only the scan share is priced at the range
+  // sum's lane curve; the partition stays serial-priced.
   const MachineConstants mc = SyntheticConstants();
   constexpr size_t kN = size_t{1} << 20;
   constexpr double kDelta = 0.1;
   const Column column = MakeUniformColumn(kN, 43);
   ProgressiveOptions options;
   options.machine = &mc;
-  EnsureParallelConfigured();
   auto first_prediction = [&](size_t lanes) {
     ScopedLanes scoped(lanes);
     ProgressiveQuicksort index(column, BudgetSpec::FixedDelta(kDelta),

@@ -111,9 +111,7 @@ TEST_P(DifferentialSoakTest, AgreesWithNaiveScanAlways) {
 
 std::vector<SoakParam> SoakParams() {
   std::vector<SoakParam> params;
-  std::vector<std::string> ids = AllIndexIds();
-  for (const std::string& id : ExtensionIndexIds()) ids.push_back(id);
-  for (const std::string& id : ids) {
+  for (const std::string& id : AllIndexIds()) {
     for (int seed = 1; seed <= 4; seed++) params.emplace_back(id, seed);
   }
   return params;
