@@ -7,15 +7,22 @@
 // of the kernel layer and writes BENCH_kernels.json (scalar vs
 // dispatched GB/s and the speedup per kernel, the CRC-32 included;
 // per-tier rows; per thread-count rows for the parallel composite
-// primitives; the leaf-sort and bucket-lookup rows; and the `lanes`
+// primitives; the leaf-sort and bucket-lookup rows; the `lanes`
 // rows, µs per call of each kept pool path by element count and lane
-// count), so successive PRs leave a perf trajectory behind.
+// count; and the `calibration` rows, the cost of the §4.3 start-up
+// measurement and the spread of each constant), so successive PRs
+// leave a perf trajectory behind.
 
 #include <benchmark/benchmark.h>
+#include <malloc.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -30,8 +37,10 @@
 #include "common/predication.h"
 #include "common/rng.h"
 #include "common/timer.h"
+#include "cost/calibration.h"
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
+#include "parallel/thread_pool.h"
 #include "storage/bucket_chain.h"
 
 namespace progidx {
@@ -482,9 +491,119 @@ std::string LaneRowsJson(size_t reps, unsigned hardware_threads) {
   return raw;
 }
 
+/// {q1, median, q3} of `v`, interpolated between order statistics.
+std::array<double, 3> Quartiles(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const auto at = [&v](double p) {
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
+/// One `calibration` row, measured in this process at its own lane
+/// count under perfbench's fixed 128 KiB malloc thresholds (the
+/// calibration's page-fault cost depends on them): one untimed
+/// MeasureMachineConstants() call, then kCalls timed ones. Records the
+/// call's ms (median and quartiles) and each constant's median with
+/// its spread, (q3 − q1)/median.
+std::string CalibrationRow(unsigned hardware_threads) {
+  constexpr size_t kCalls = 15;
+#ifdef __GLIBC__
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
+#endif
+  MeasureMachineConstants();
+  std::vector<double> ms;
+  std::vector<MachineConstants> all;
+  for (size_t i = 0; i < kCalls; i++) {
+    Timer timer;
+    all.push_back(MeasureMachineConstants());
+    ms.push_back(timer.ElapsedSeconds() * 1e3);
+  }
+  const std::array<double, 3> total = Quartiles(ms);
+  std::string row;
+  bench::AppendF(&row,
+                 "    {\"lanes\": %zu, \"kernel\": \"%s\", \"calls\": %zu, "
+                 "\"hardware_threads\": %u,\n     \"total_ms\": {\"median\": "
+                 "%.2f, \"q1\": %.2f, \"q3\": %.2f},\n     \"constants\": {",
+                 parallel::DefaultLanes(), all.front().kernel_name, kCalls,
+                 hardware_threads, total[1], total[0], total[2]);
+  const auto field = [&](const char* name, auto get, bool last = false) {
+    std::vector<double> v;
+    for (const MachineConstants& c : all) v.push_back(get(c));
+    const std::array<double, 3> q = Quartiles(v);
+    bench::AppendF(&row,
+                   "\"%s\": {\"median\": %.6g, \"spread\": %.3f}%s", name,
+                   q[1], q[1] != 0 ? (q[2] - q[0]) / q[1] : 0.0,
+                   last ? "" : ",\n       ");
+  };
+#define PROGIDX_CALIBRATION_FIELD(f) \
+  field(#f, [](const MachineConstants& c) { return c.f; })
+  PROGIDX_CALIBRATION_FIELD(seq_read_secs);
+  PROGIDX_CALIBRATION_FIELD(seq_write_secs);
+  PROGIDX_CALIBRATION_FIELD(random_access_secs);
+  PROGIDX_CALIBRATION_FIELD(swap_secs);
+  PROGIDX_CALIBRATION_FIELD(alloc_secs);
+  PROGIDX_CALIBRATION_FIELD(bucket_scan_secs);
+  PROGIDX_CALIBRATION_FIELD(bucket_append_secs);
+  PROGIDX_CALIBRATION_FIELD(batch_lookup_secs);
+  PROGIDX_CALIBRATION_FIELD(sort_unit_scale);
+#undef PROGIDX_CALIBRATION_FIELD
+  for (size_t t = 2; t <= MachineConstants::kMaxThreadScale; t++) {
+    const std::string name = "scan_scale[" + std::to_string(t) + "]";
+    field(name.c_str(),
+          [t](const MachineConstants& c) { return c.scan_scale[t]; },
+          t == MachineConstants::kMaxThreadScale);
+  }
+  row += "}}";
+  return row;
+}
+
+/// The `calibration` rows at one lane and at the default lane count
+/// (one row when that is one lane too). DefaultLanes() is fixed per
+/// process, and the malloc thresholds would shape every later
+/// measurement, so each row is measured in a child forked before this
+/// process starts a thread.
+std::string CalibrationRowsJson(unsigned hardware_threads) {
+  std::string raw = "[\n";
+  for (const char* threads : {"1", static_cast<const char*>(nullptr)}) {
+    int fds[2];
+    if (pipe(fds) != 0) break;
+    const pid_t pid = fork();
+    if (pid == 0) {
+      close(fds[0]);
+      if (threads != nullptr) setenv("PROGIDX_THREADS", threads, 1);
+      if (threads != nullptr || parallel::DefaultLanes() > 1) {
+        const std::string row = CalibrationRow(hardware_threads);
+        if (write(fds[1], row.data(), row.size()) < 0) _exit(1);
+      }
+      _exit(0);
+    }
+    close(fds[1]);
+    std::string row;
+    char buf[4096];
+    ssize_t got = 0;
+    while (pid > 0 && (got = read(fds[0], buf, sizeof(buf))) > 0) {
+      row.append(buf, static_cast<size_t>(got));
+    }
+    close(fds[0]);
+    if (pid > 0) waitpid(pid, nullptr, 0);
+    if (row.empty()) continue;
+    raw += (raw.size() > 2 ? ",\n" : "") + row;
+  }
+  raw += "\n  ]";
+  return raw;
+}
+
 void WriteKernelThroughputJson(const char* path) {
   constexpr size_t kN = 1 << 22;  // 32 MiB: past LLC, stream from DRAM
   constexpr size_t kReps = 5;
+  // First, while this process has no thread: the rows fork.
+  const std::string calibration_raw =
+      CalibrationRowsJson(std::thread::hardware_concurrency());
   const std::vector<value_t> data = RandomData(kN, 17);
   const RangeQuery q{static_cast<value_t>(kN / 4),
                      static_cast<value_t>(3 * kN / 4)};
@@ -755,6 +874,7 @@ void WriteKernelThroughputJson(const char* path) {
   bench::UpsertJsonSection(&sections, "bucket_lookup", std::move(lookup_raw));
   bench::UpsertJsonSection(&sections, "lanes",
                            LaneRowsJson(kReps, hardware_threads));
+  bench::UpsertJsonSection(&sections, "calibration", calibration_raw);
   if (!bench::WriteJsonSections(path, sections)) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return;
@@ -789,6 +909,7 @@ void WriteKernelThroughputJson(const char* path) {
       "ns (%.2fx)\n",
       bounds.size() + 1, upper_bound_ns, branch_free_ns,
       upper_bound_ns / branch_free_ns);
+  std::printf("  calibration %s\n", calibration_raw.c_str());
 }
 
 }  // namespace

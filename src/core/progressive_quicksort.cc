@@ -190,19 +190,30 @@ void ProgressiveQuicksort::AnswerBuildBatch(const RangeQuery* qs,
 }
 
 void ProgressiveQuicksort::SaveBody(persist::Writer* w) const {
-  w->WriteValueVector(index_);
+  // While creating, only the two fringes hold copied elements. The gap
+  // between them holds zeros and the partition kernels' stray
+  // predicated writes, which no answer reads, so the snapshot carries
+  // the fringes alone, after the scalars.
+  const bool creating = phase() == Phase::kCreation;
+  if (!creating) w->WriteValueVector(index_);
   w->WriteI64(pivot_);
   w->WriteU64(copy_pos_);
   w->WriteU64(low_pos_);
   w->WriteI64(high_pos_);
   budget_.SaveState(w);
+  if (creating) {
+    const size_t high = static_cast<size_t>(high_pos_ + 1);
+    w->WriteValues(index_.data(), low_pos_);
+    w->WriteValues(index_.data() + high, index_.size() - high);
+  }
   // The sorter is live only while refining: it does not exist before,
   // and is dead weight once consolidation starts.
   if (phase() == Phase::kRefinement) sorter_.SaveState(w);
 }
 
 bool ProgressiveQuicksort::LoadBody(persist::Reader* r) {
-  if (!r->ReadValueVector(&index_)) return false;
+  const bool creating = phase() == Phase::kCreation;
+  if (!creating && !r->ReadValueVector(&index_)) return false;
   const value_t pivot = r->ReadI64();
   copy_pos_ = r->ReadU64();
   low_pos_ = r->ReadU64();
@@ -212,11 +223,25 @@ bool ProgressiveQuicksort::LoadBody(persist::Reader* r) {
   // one of the two fringes: copy_pos_ == low_pos_ + (n − 1 − high_pos_).
   // With copy_pos_ ≤ n that also keeps the fringes from overlapping.
   const size_t n = column_.size();
-  if (pivot != pivot_ || index_.size() != n || copy_pos_ > n ||
-      low_pos_ > n || high_pos_ < -1 ||
+  if (pivot != pivot_ || (!creating && index_.size() != n) ||
+      copy_pos_ > n || low_pos_ > n || high_pos_ < -1 ||
       high_pos_ >= static_cast<int64_t>(n) ||
       copy_pos_ != low_pos_ + (n - static_cast<size_t>(high_pos_ + 1))) {
     return false;
+  }
+  if (creating) {
+    // Each fringe's run length must be the one its frontier implies;
+    // the gap between them comes back zero-filled.
+    const size_t high = static_cast<size_t>(high_pos_ + 1);
+    size_t low_count = 0;
+    size_t high_count = 0;
+    const value_t* low_run = r->ReadValueRun(&low_count);
+    if (low_run == nullptr || low_count != low_pos_) return false;
+    const value_t* high_run = r->ReadValueRun(&high_count);
+    if (high_run == nullptr || high_count != n - high) return false;
+    index_.assign(n, 0);
+    std::copy(low_run, low_run + low_count, index_.data());
+    std::copy(high_run, high_run + high_count, index_.data() + high);
   }
   return phase() != Phase::kRefinement ||
          sorter_.LoadState(r, index_.data(), n);

@@ -38,8 +38,9 @@ class ProgressiveQuicksort : public ProgressiveIndex {
   void AnswerBuildBatch(const RangeQuery* qs, size_t count,
                         QueryResult* out) const override;
   double BuildConvergenceFraction() const override;
-  /// Snapshot body: the index array, the partition fringes, the budget,
-  /// and the pivot-tree sort while refining.
+  /// Snapshot body: the index array (only its two filled fringes while
+  /// creating), the partition frontiers, the budget, and the pivot-tree
+  /// sort while refining.
   void SaveBody(persist::Writer* w) const override;
   bool LoadBody(persist::Reader* r) override;
   const value_t* SortedArray() const override { return index_.data(); }

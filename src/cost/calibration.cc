@@ -19,6 +19,11 @@ namespace {
 
 constexpr size_t kCalibrationElements = 1ull << 21;  // 16 MiB of int64
 constexpr size_t kRandomAccesses = 1ull << 16;
+// The compute-bound probes (the batch-lookup walk, the leaf sorts) time
+// a 2 MiB slice of the buffer: their per-element cost does not depend
+// on the footprint, and on the whole buffer they took most of the
+// calibration's time.
+constexpr size_t kComputeSliceElements = 1ull << 18;
 
 // A volatile sink keeps the compiler from eliding the measured loops.
 volatile int64_t calibration_sink = 0;
@@ -44,37 +49,57 @@ double MeasureSequentialRead(std::vector<value_t>* buffer) {
 }
 
 double MeasureSequentialWrite(std::vector<value_t>* buffer,
+                              std::vector<value_t>* dst,
                               double seq_read_secs) {
   // Two-sided pivot partition, exactly the creation-phase inner loop of
-  // Progressive Quicksort (dispatched kernel). The write constant is
-  // what remains after the read share.
+  // Progressive Quicksort (dispatched kernel), into a faulted-in
+  // destination. The write constant is what remains after the read
+  // share.
   const size_t n = buffer->size();
-  std::vector<value_t> dst(n);
   const value_t pivot = static_cast<value_t>(n / 2);
   Timer timer;
   size_t lo = 0;
   int64_t hi = static_cast<int64_t>(n) - 1;
-  kernels::PartitionTwoSided(buffer->data(), n, pivot, dst.data(), &lo, &hi);
+  kernels::PartitionTwoSided(buffer->data(), n, pivot, dst->data(), &lo, &hi);
   const double secs = timer.ElapsedSeconds();
-  calibration_sink = dst[n / 2];
+  calibration_sink = (*dst)[n / 2];
   const double per_element = secs / static_cast<double>(n);
   const double write = per_element - seq_read_secs;
   return write > 0 ? write : per_element / 2;
 }
 
-double MeasureRandomAccess(std::vector<value_t>* buffer) {
-  // Pointer-chase through a random permutation cycle so every access
-  // depends on the previous one (defeats prefetching and OoO overlap).
-  const size_t n = buffer->size();
-  std::vector<size_t> next(n);
-  std::iota(next.begin(), next.end(), 0);
+double MeasureRandomAccess() {
+  // Pointer-chase so every access depends on the previous one (defeats
+  // prefetching and OoO overlap): one Sattolo cycle — a random
+  // permutation with a single cycle, so the chase visits every slot
+  // once — through kRandomAccesses slots spread over a 16 MiB array,
+  // one per stride-sized block. Slot i sits i mod stride elements into
+  // its block, so the slots fall on every cache set rather than on the
+  // quarter a fixed 256-byte grid would.
+  //
+  // Allocated after the partition's destination is freed, the array
+  // comes from the heap under glibc's dynamic malloc thresholds, and
+  // once freed its faulted pages hold the bucket-append probe's chain
+  // blocks, as they later hold the indexes' own; under fixed thresholds
+  // (perfbench) it is mapped and unmapped, and the chain blocks fault
+  // their pages in, as the indexes' do there.
+  const size_t stride = kCalibrationElements / kRandomAccesses;
+  const auto slot = [stride](size_t i) { return i * stride + i % stride; };
+  std::vector<uint32_t> cycle(kRandomAccesses);
+  std::iota(cycle.begin(), cycle.end(), 0);
   Rng rng(7);
-  for (size_t i = n - 1; i > 0; i--) {
-    std::swap(next[i], next[rng.NextBounded(i + 1)]);
+  for (size_t i = kRandomAccesses - 1; i > 0; i--) {
+    std::swap(cycle[i], cycle[rng.NextBounded(i)]);
+  }
+  std::vector<value_t> data(kCalibrationElements);
+  for (size_t i = 0; i < kRandomAccesses; i++) {
+    data[slot(i)] = static_cast<value_t>(slot(cycle[i]));
   }
   Timer timer;
-  size_t pos = 0;
-  for (size_t i = 0; i < kRandomAccesses; i++) pos = next[pos];
+  size_t pos = slot(0);
+  for (size_t i = 0; i < kRandomAccesses; i++) {
+    pos = static_cast<size_t>(data[pos]);
+  }
   const double secs = timer.ElapsedSeconds();
   calibration_sink = static_cast<int64_t>(pos);
   return secs / static_cast<double>(kRandomAccesses);
@@ -109,9 +134,11 @@ double MeasureSortUnitScale(std::vector<value_t>* buffer, size_t l1_elements,
   // step the constant was measured on. On the avx512 tier the ratio
   // is ~0.7-0.9 (it was ~3.5-5.5 while leaves ran std::sort). The
   // values stay below 2^21, so each chunk takes 3 radix passes; a
-  // leaf of a wider column takes more and costs more per unit.
+  // leaf of a wider column takes more and costs more per unit. The
+  // chunks of one slice suffice: each sort runs in L1 whatever the
+  // footprint.
   value_t* data = buffer->data();
-  const size_t n = buffer->size();
+  const size_t n = kComputeSliceElements;
   const size_t chunk = std::max<size_t>(l1_elements, 2);
   uint64_t units = 0;
   Timer timer;
@@ -208,20 +235,24 @@ void MeasureParallelScanScale(std::vector<value_t>* buffer,
 
 double MeasureBatchLookup(std::vector<value_t>* buffer,
                           double seq_read_secs) {
-  // The shared-scan surcharge: one PredicateSet pass over the buffer
-  // with 64 predicates — deliberately past PredicateSet::kTiledBatchMax
-  // so the probe exercises the elementary-interval regime whose
-  // per-element binary-search walk the log2 formula describes —
-  // compared to the plain predicated scan the seq_read constant was
-  // measured on, divided by log2(2·64). The tiled-kernel regime
-  // (smaller batches) runs at or below this price, so small-batch
-  // predictions err conservative.
+  // The shared-scan surcharge: one PredicateSet pass with 64
+  // predicates — deliberately past PredicateSet::kTiledBatchMax so the
+  // probe exercises the elementary-interval regime whose per-element
+  // binary-search walk the log2 formula describes — compared to the
+  // plain predicated scan the seq_read constant was measured on,
+  // divided by log2(2·64). The tiled-kernel regime (smaller batches)
+  // runs at or below this price, so small-batch predictions err
+  // conservative. The walk is compute-bound (~10 ns/element), so it
+  // scans one slice of the buffer, with predicates spread over the
+  // whole value domain.
   constexpr size_t kBatch = 64;
-  const size_t n = buffer->size();
+  const size_t domain = buffer->size();
+  const size_t n = kComputeSliceElements;
   RangeQuery qs[kBatch];
   for (size_t i = 0; i < kBatch; i++) {
-    const value_t lo = static_cast<value_t>(i * n / (kBatch + 2));
-    qs[i] = RangeQuery{lo, lo + static_cast<value_t>(n / (kBatch + 3))};
+    const value_t lo = static_cast<value_t>(i * domain / (kBatch + 2));
+    qs[i] =
+        RangeQuery{lo, lo + static_cast<value_t>(domain / (kBatch + 3))};
   }
   // Pin the scan to one lane: seq_read_secs was measured on the serial
   // kernel, and this constant must be the *per-element surcharge* of
@@ -266,23 +297,33 @@ double MeasureBucketScan(const std::vector<BucketChain>& chains, size_t n) {
 MachineConstants MeasureMachineConstants() {
   // The buffer must be genuinely pseudo-random: a regular pattern would
   // be branch-predictor friendly and make the partition/copy loops look
-  // ~3x cheaper than they are on real (unpredictable) data.
+  // ~3x cheaper than they are on real (unpredictable) data. Values span
+  // [0, 2^21); the mask keeps the same low bits a modulo would.
   std::vector<value_t> buffer(kCalibrationElements);
   Rng fill_rng(3);
-  for (size_t i = 0; i < buffer.size(); i++) {
-    buffer[i] = static_cast<value_t>(fill_rng.NextBounded(buffer.size()));
+  for (value_t& v : buffer) {
+    v = static_cast<value_t>(fill_rng.Next() & (kCalibrationElements - 1));
   }
   MachineConstants constants;
   constants.kernel_name = kernels::ActiveKernelName();
-  constants.seq_read_secs = MeasureSequentialRead(&buffer);
-  constants.seq_write_secs =
-      MeasureSequentialWrite(&buffer, constants.seq_read_secs);
-  constants.random_access_secs = MeasureRandomAccess(&buffer);
+  {
+    // The partition's destination is faulted in before the scan: its
+    // stores push the freshly filled buffer out of the caches, so the
+    // scan reads it from memory, as a column scan does, however fast
+    // the fill ran.
+    std::vector<value_t> dst(kCalibrationElements);
+    constants.seq_read_secs = MeasureSequentialRead(&buffer);
+    constants.seq_write_secs =
+        MeasureSequentialWrite(&buffer, &dst, constants.seq_read_secs);
+  }
+  constants.random_access_secs = MeasureRandomAccess();
   constants.alloc_secs = MeasureAllocation();
-  std::vector<BucketChain> chains;
-  constants.bucket_append_secs = MeasureBucketAppend(&buffer, &chains);
-  constants.bucket_scan_secs =
-      MeasureBucketScan(chains, kCalibrationElements);
+  {
+    std::vector<BucketChain> chains;
+    constants.bucket_append_secs = MeasureBucketAppend(&buffer, &chains);
+    constants.bucket_scan_secs =
+        MeasureBucketScan(chains, kCalibrationElements);
+  }
   constants.batch_lookup_secs =
       MeasureBatchLookup(&buffer, constants.seq_read_secs);
   MeasureParallelScanScale(&buffer, &constants);

@@ -65,9 +65,28 @@ struct MachineConstants {
   }
 };
 
-/// Measures the machine constants with short micro-benchmarks (a few
-/// milliseconds total). Deterministic inputs; timing is the only
-/// nondeterminism.
+/// Measures the machine constants with short micro-benchmarks on the
+/// dispatched kernels. Deterministic inputs; timing is the only
+/// nondeterminism. On the 4-vCPU avx512 VM one call takes 60-95 ms
+/// with the host's load (medians of 24 calls: ~72 ms at one lane, ~83
+/// ms at four, where the scan_scale probe adds twelve scans);
+/// perfbench traces it as `cost.calibrate_ms`. Each probe's size
+/// follows what it measures:
+///  - the bandwidth-bound probes (scan, partition, crack, bucket
+///    append and scan, the scan_scale curve) stream one 16 MiB buffer
+///    of 2^21 values, past L2, as the indexes' columns do;
+///  - the pointer chase times 2^16 dependent hops through one cycle of
+///    slots spread over a second 16 MiB array, so its TLB and cache
+///    misses are those of a 16 MiB footprint;
+///  - the compute-bound probes (the 64-predicate shared-scan walk at
+///    ~10 ns/element, the L1-sized leaf sorts) take a 2^18-element
+///    slice of the buffer: their cost per element does not depend on
+///    the footprint;
+///  - the allocation probe times 4096 32 KiB blocks.
+/// Most of the call is page faults of its three 16 MiB arrays and the
+/// bucket append. A probe added here reports its cost through
+/// `cost.calibrate_ms`, which every process pays before its first
+/// query.
 MachineConstants MeasureMachineConstants();
 
 /// Process-wide constants, measured once on first use. All indexes use

@@ -32,6 +32,7 @@ bool FiniteAndPositive(double v) { return std::isfinite(v) && v > 0; }
 }  // namespace
 
 bool PinOrLoadCalibration(const std::string& dir,
+                          const std::function<MachineConstants()>& measure,
                           MachineConstants* constants, bool* pinned_now) {
   if (pinned_now != nullptr) *pinned_now = false;
   ::mkdir(dir.c_str(), 0777);  // EEXIST is the common case
@@ -39,7 +40,7 @@ bool PinOrLoadCalibration(const std::string& dir,
 
   Reader r = Reader::FromFile(path);
   if (r.ok()) {
-    MachineConstants loaded = *constants;
+    MachineConstants loaded;
     const uint64_t version = r.ReadU64();
     loaded.seq_read_secs = r.ReadDouble();
     loaded.seq_write_secs = r.ReadDouble();
@@ -74,10 +75,11 @@ bool PinOrLoadCalibration(const std::string& dir,
       return true;
     }
     // A corrupt pin cannot reproduce the old trajectory anyway; fall
-    // through and re-pin the current constants so future processes at
+    // through and re-pin a fresh measurement so future processes at
     // least agree with each other from here on.
   }
 
+  *constants = measure();
   Writer w;
   w.WriteU64(kCalibrationVersion);
   w.WriteDouble(constants->seq_read_secs);

@@ -1,6 +1,7 @@
 #ifndef PROGIDX_PERSIST_CALIBRATION_STORE_H_
 #define PROGIDX_PERSIST_CALIBRATION_STORE_H_
 
+#include <functional>
 #include <string>
 
 #include "cost/calibration.h"
@@ -34,14 +35,17 @@ namespace persist {
 
 /// Loads the pinned machine constants of `dir` into `*constants`, or —
 /// when the directory has none yet (or only a corrupt/torn file) —
-/// publishes the current `*constants` as the pin. Creates `dir` if
-/// needed. Returns false only when the pin could neither be read nor
-/// written (`*constants` is then left at the caller's process-local
-/// values and recovery proceeds without cross-process determinism).
+/// sets `*constants` to `measure()` and publishes that as the pin.
+/// `measure` runs only on that write path, so reopening a pinned
+/// directory never pays a calibration. Creates `dir` if needed.
+/// Returns false only when the pin could neither be read nor written
+/// (`*constants` then holds the measurement and recovery proceeds
+/// without cross-process determinism).
 ///
 /// `pinned_now` (optional) reports whether this call created the pin
 /// (true) or loaded an existing one (false).
 bool PinOrLoadCalibration(const std::string& dir,
+                          const std::function<MachineConstants()>& measure,
                           MachineConstants* constants,
                           bool* pinned_now = nullptr);
 

@@ -61,12 +61,16 @@ std::unique_ptr<IndexBase> RecoverIndex(
   // Replay must run the budget arithmetic of the process that wrote
   // the log, not this process's own measurement — partition pause
   // points depend on the constants, so a fresh measurement would walk
-  // a different trajectory over the very same queries. On a foreign
-  // directory we don't publish anything; local measurement is fine
-  // because nothing will be replayed or appended.
-  MachineConstants constants = GlobalMachineConstants();
-  if (!st.log_unreadable) {
-    persist::PinOrLoadCalibration(dir, &constants, &st.calibration_pinned_now);
+  // a different trajectory over the very same queries, so this
+  // process measures only when the directory has no valid pin yet. On
+  // a foreign directory we don't publish anything; local measurement
+  // is fine because nothing will be replayed or appended.
+  MachineConstants constants;
+  if (st.log_unreadable) {
+    constants = GlobalMachineConstants();
+  } else {
+    persist::PinOrLoadCalibration(dir, GlobalMachineConstants, &constants,
+                                  &st.calibration_pinned_now);
   }
 
   persist::Checkpointer ckpt(dir, column);

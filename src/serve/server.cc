@@ -129,8 +129,8 @@ void Server::SetUpDurability() {
   // reject this server's snapshots rather than extend them under a
   // different trajectory.
   if (const MachineConstants* mc = index_->machine_constants()) {
-    MachineConstants pinned = *mc;
-    persist::PinOrLoadCalibration(dir, &pinned);
+    MachineConstants pinned;
+    persist::PinOrLoadCalibration(dir, [mc] { return *mc; }, &pinned);
     calibration_crc_ = persist::CalibrationFingerprint(*mc);
   }
   persist_enabled_ = true;

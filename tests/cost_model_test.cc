@@ -4,6 +4,8 @@
 
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
+#include "kernels/kernels.h"
+#include "parallel/thread_pool.h"
 
 namespace progidx {
 namespace {
@@ -21,14 +23,35 @@ MachineConstants SyntheticConstants() {
 }
 
 TEST(CalibrationTest, MeasuresPositiveConstants) {
+  const size_t lanes_before = parallel::LanesOverrideForTesting();
   const MachineConstants mc = MeasureMachineConstants();
-  EXPECT_GT(mc.seq_read_secs, 0);
-  EXPECT_GT(mc.seq_write_secs, 0);
-  EXPECT_GT(mc.random_access_secs, 0);
-  EXPECT_GT(mc.swap_secs, 0);
-  EXPECT_GT(mc.alloc_secs, 0);
+  // The batch-lookup probe pins one lane while it runs; a missed
+  // restore would leave every later query on one lane.
+  EXPECT_EQ(parallel::LanesOverrideForTesting(), lanes_before);
+  const auto finite_positive = [](double v) {
+    return std::isfinite(v) && v > 0;
+  };
+  EXPECT_TRUE(finite_positive(mc.seq_read_secs));
+  EXPECT_TRUE(finite_positive(mc.seq_write_secs));
+  EXPECT_TRUE(finite_positive(mc.random_access_secs));
+  EXPECT_TRUE(finite_positive(mc.swap_secs));
+  EXPECT_TRUE(finite_positive(mc.alloc_secs));
+  EXPECT_TRUE(finite_positive(mc.bucket_scan_secs));
+  EXPECT_TRUE(finite_positive(mc.bucket_append_secs));
+  EXPECT_TRUE(finite_positive(mc.batch_lookup_secs));
   // Sanity: a random access costs more than a sequential element read.
   EXPECT_GT(mc.random_access_secs, mc.seq_read_secs);
+  // Both floors of the measurement: a sort unit costs at least a
+  // quarter crack step, and a lane count at least a quarter of one
+  // lane's speed.
+  EXPECT_GE(mc.sort_unit_scale, 0.25);
+  EXPECT_EQ(mc.scan_scale[0], 1.0);
+  EXPECT_EQ(mc.scan_scale[1], 1.0);
+  for (size_t t = 0; t <= MachineConstants::kMaxThreadScale; t++) {
+    EXPECT_TRUE(std::isfinite(mc.scan_scale[t])) << "T = " << t;
+    EXPECT_GE(mc.scan_scale[t], 0.25) << "T = " << t;
+  }
+  EXPECT_STREQ(mc.kernel_name, kernels::ActiveKernelName());
 }
 
 TEST(CalibrationTest, GlobalConstantsAreStable) {

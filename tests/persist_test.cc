@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -422,6 +423,37 @@ TEST(PersistRoundTrip, FullIndexRejectsUnsortedArray) {
   EXPECT_FALSE(loads(patched));
 }
 
+// While creating, pq's snapshot carries only its two filled fringes:
+// 8·copy_pos_ bytes of values, not the n-slot array whose gap holds
+// only zeros and the partition kernels' stray writes. Two creation
+// payloads differ in size by exactly the values copied between them.
+TEST(PersistRoundTrip, QuicksortCreationPayloadCarriesOnlyCopiedValues) {
+  constexpr size_t kN = 8000;
+  const Column column = MakeUniformColumn(kN, 71);
+  ProgressiveOptions options;
+  options.machine = &FixedConstants();
+  auto index = MakeIndex("pq", column, BudgetSpec::FixedDelta(0.1), options);
+  // copy_pos_, from the creation convergence fraction 0.5·copy_pos_/n.
+  const auto copied = [&] {
+    return static_cast<size_t>(
+        std::llround(2.0 * kN * index->ConvergenceFraction()));
+  };
+  const RangeQuery all{column.min_value(), column.max_value()};
+  index->Query(all);
+  const size_t copied1 = copied();
+  const std::string first = StatePayload(*index);
+  index->Query(all);
+  const size_t copied2 = copied();
+  const std::string second = StatePayload(*index);
+  ASSERT_EQ(GetU64(second, 0), 0u) << "still creating";
+  ASSERT_GT(copied1, 0u);
+  ASSERT_GT(copied2, copied1);
+  ASSERT_LT(copied2, kN);
+  EXPECT_EQ(second.size() - first.size(), 8 * (copied2 - copied1));
+  // The phase word, four scalars, the budget and two run counts.
+  EXPECT_LT(first.size(), 8 * copied1 + 256);
+}
+
 /// Offset just past the BucketChain saved at `offset` (block capacity,
 /// element count, then one count-prefixed run per block).
 size_t SkipChain(const std::string& s, size_t offset) {
@@ -483,26 +515,43 @@ struct GeometryMutation {
 };
 
 const GeometryMutation kGeometryMutations[] = {
-    // pq: index_ (count + n values), pivot_, copy_pos_, low_pos_,
-    // high_pos_, the budget controller, then the refinement sorter
+    // pq while creating: pivot_, copy_pos_, low_pos_, high_pos_, the
+    // budget controller, then the two fringes (count + values each),
+    // which end the payload. From refinement on: index_ (count + n
+    // values), the same scalars and budget, then the refinement sorter
     // (span length first). A high_pos_ off the fringe invariant would
     // make the next creation step write before index_; fringes that
-    // overlap past the end would make it read past the column.
+    // overlap past the end would make it read past the column; a
+    // fringe shorter than its frontier says would leave a copied slot
+    // zero.
     {"pq_high_pos", "pq", 0,
-     [](std::string* s, size_t n) {
-       PutU64(s, 40 + 8 * n, static_cast<uint64_t>(int64_t{-5}));
+     [](std::string* s, size_t) {
+       PutU64(s, 32, static_cast<uint64_t>(int64_t{-5}));
        return true;
      }},
     {"pq_overlapping_fringes", "pq", 0,
      [](std::string* s, size_t n) {
-       PutU64(s, 24 + 8 * n, 2 * n);
-       PutU64(s, 32 + 8 * n, n);
-       PutU64(s, 40 + 8 * n, static_cast<uint64_t>(int64_t{-1}));
+       PutU64(s, 16, 2 * n);
+       PutU64(s, 24, n);
+       PutU64(s, 32, static_cast<uint64_t>(int64_t{-1}));
        return true;
      }},
     {"pq_pivot", "pq", 0,
+     [](std::string* s, size_t) {
+       PutU64(s, 8, GetU64(*s, 8) + 1);
+       return true;
+     }},
+    {"pq_fringe_short_of_copy_pos", "pq", 0,
      [](std::string* s, size_t n) {
-       PutU64(s, 16 + 8 * n, GetU64(*s, 16 + 8 * n) + 1);
+       // Drop the high fringe's last value: the runs then hold
+       // copy_pos_ − 1 values.
+       const size_t high_count = n - 1 - GetU64(*s, 32);
+       const size_t count_at = s->size() - 8 * high_count - 8;
+       if (high_count == 0 || GetU64(*s, count_at) != high_count) {
+         return false;
+       }
+       PutU64(s, count_at, high_count - 1);
+       s->resize(s->size() - 8);
        return true;
      }},
     {"pq_sorter_length", "pq", 1,
@@ -1215,18 +1264,38 @@ MachineConstants CraftedConstants() {
   return mc;
 }
 
+/// The measurement callback of an open that must find a valid pin:
+/// calibrating there would only be thrown away.
+MachineConstants MustNotMeasure() {
+  ADD_FAILURE() << "measured although the directory holds a valid pin";
+  return FixedConstants();
+}
+
 TEST(PersistCalibrationTest, PinRoundTripWinsOverLaterConstants) {
   TempDir dir;
-  MachineConstants a = CraftedConstants();
+  const MachineConstants a = CraftedConstants();
+  int measured = 0;
+  MachineConstants first;
   bool pinned_now = false;
-  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, &a, &pinned_now));
+  ASSERT_TRUE(persist::PinOrLoadCalibration(
+      dir.path,
+      [&] {
+        measured++;
+        return a;
+      },
+      &first, &pinned_now));
   EXPECT_TRUE(pinned_now);
+  EXPECT_EQ(measured, 1);  // an empty directory measures exactly once
+  EXPECT_EQ(persist::CalibrationFingerprint(first),
+            persist::CalibrationFingerprint(a));
 
-  // A later open with different constants gets the pin, not its own.
+  // A later open with different constants gets the pin, not its own,
+  // and never measures.
   MachineConstants b = GlobalMachineConstants();
   ASSERT_NE(persist::CalibrationFingerprint(b),
             persist::CalibrationFingerprint(a));
-  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, &b, &pinned_now));
+  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, MustNotMeasure, &b,
+                                            &pinned_now));
   EXPECT_FALSE(pinned_now);
   EXPECT_EQ(persist::CalibrationFingerprint(b),
             persist::CalibrationFingerprint(a));
@@ -1237,14 +1306,25 @@ TEST(PersistCalibrationTest, PinRoundTripWinsOverLaterConstants) {
 
 TEST(PersistCalibrationTest, CorruptPinIsReplacedNeverLoaded) {
   TempDir dir;
-  MachineConstants a = CraftedConstants();
-  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, &a));
+  const MachineConstants a = CraftedConstants();
+  MachineConstants first;
+  ASSERT_TRUE(persist::PinOrLoadCalibration(
+      dir.path, [&] { return a; }, &first));
   FlipByte(dir.path + "/calibration", 20);
 
-  MachineConstants b = GlobalMachineConstants();
+  int measured = 0;
+  MachineConstants b;
   bool pinned_now = false;
-  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, &b, &pinned_now));
-  EXPECT_TRUE(pinned_now);  // damaged pin re-pinned, not silently loaded
+  ASSERT_TRUE(persist::PinOrLoadCalibration(
+      dir.path,
+      [&] {
+        measured++;
+        return GlobalMachineConstants();
+      },
+      &b, &pinned_now));
+  // The damaged pin is re-measured and re-pinned, not silently loaded.
+  EXPECT_TRUE(pinned_now);
+  EXPECT_EQ(measured, 1);
   EXPECT_EQ(persist::CalibrationFingerprint(b),
             persist::CalibrationFingerprint(GlobalMachineConstants()));
 }
@@ -1266,8 +1346,10 @@ TEST(PersistCalibrationTest, MismatchedSnapshotsRejectedColdReplayOnPin) {
   const BudgetSpec budget = BudgetSpec::FixedDelta(0.1);
 
   // Pin crafted constants before any server touches the directory.
-  MachineConstants pinned = CraftedConstants();
-  ASSERT_TRUE(persist::PinOrLoadCalibration(dir.path, &pinned));
+  const MachineConstants crafted = CraftedConstants();
+  MachineConstants pinned;
+  ASSERT_TRUE(persist::PinOrLoadCalibration(
+      dir.path, [&] { return crafted; }, &pinned));
 
   // Serve on this process's own measurement: every snapshot gets
   // stamped with a fingerprint that does not match the pin.

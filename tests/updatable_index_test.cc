@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/predication.h"
@@ -8,6 +11,8 @@
 #include "core/progressive_quicksort.h"
 #include "core/updatable_index.h"
 #include "eval/registry.h"
+#include "tests/edge_columns.h"
+#include "tests/oracle.h"
 #include "workload/data_generator.h"
 
 namespace progidx {
@@ -125,6 +130,88 @@ TEST(UpdatableIndexTest, WorksWithEveryProgressiveInner) {
       index.Append(10000 + i);
       const QueryResult r = index.Query(RangeQuery{10000, 10100});
       EXPECT_EQ(r.count, i + 1) << id;
+    }
+  }
+}
+
+// The delta fold at the edges of the 64-bit domain: base columns of 0,
+// 1 and 2 rows and the wide columns of tests/edge_columns.h, with
+// appends and deletes of INT64_MIN and INT64_MAX in the live delta and
+// then in the frozen one while a budgeted merge runs, under queries
+// bounded by INT64_MIN/MAX and their inverted (low > high) twins. Every
+// answer matches the oracle over the current multiset mod 2^64.
+TEST(UpdatableIndexTest, ValueDomainEdgesMatchOracle) {
+  constexpr value_t kMin = std::numeric_limits<value_t>::min();
+  constexpr value_t kMax = std::numeric_limits<value_t>::max();
+  std::vector<Column> bases;
+  bases.push_back(Column(std::vector<value_t>{}));
+  bases.push_back(Column(std::vector<value_t>{kMax}));
+  bases.push_back(Column(std::vector<value_t>{kMin, kMax}));
+  bases.push_back(FullWidthColumn(kMin, kMax));
+  bases.push_back(WrappingSumsColumn());
+  for (const std::string& id : ProgressiveIndexIds()) {
+    for (size_t c = 0; c < bases.size(); c++) {
+      const Column& base = bases[c];
+      std::vector<RangeQuery> qs = {{kMin, kMax}, {kMin, kMin},
+                                    {kMax, kMax}, {kMin, 0},
+                                    {0, kMax},    {kMin + 1, kMax - 1}};
+      if (!base.empty()) {
+        const std::vector<RangeQuery> edge = EdgeQueries(base, 10);
+        qs.insert(qs.end(), edge.begin(), edge.end());
+      }
+      for (size_t i = 0, end = qs.size(); i < end; i++) {
+        if (qs[i].low < qs[i].high) qs.push_back({qs[i].high, qs[i].low});
+      }
+      // Four pending updates start a merge, whatever the base size.
+      const double threshold =
+          4.0 / static_cast<double>(std::max<size_t>(base.size(), 1));
+      UpdatableIndex index(
+          base.values(),
+          [&id](const Column& column) {
+            return MakeIndex(id, column, BudgetSpec::FixedDelta(0.25));
+          },
+          threshold);
+      std::vector<value_t> multiset = base.values();
+      size_t asked = 0;
+      const auto ask_all = [&](const char* stage) {
+        for (const RangeQuery& q : qs) {
+          ASSERT_EQ(index.Query(q),
+                    OracleRangeSum(multiset.data(), multiset.size(), q))
+              << id << " column " << c << " " << stage << " query " << asked
+              << " [" << q.low << ", " << q.high << "]";
+          asked++;
+        }
+      };
+      const auto append = [&](value_t v) {
+        index.Append(v);
+        multiset.push_back(v);
+      };
+      const auto remove = [&](value_t v) {
+        index.Delete(v);
+        multiset.erase(std::find(multiset.begin(), multiset.end(), v));
+      };
+      // Live delta: three appends at the domain's ends.
+      append(kMin);
+      append(kMax);
+      append(kMax);
+      ask_all("live");
+      ASSERT_EQ(index.merge_count(), 0u) << id << " column " << c;
+      // The fourth update freezes the delta at the next query.
+      remove(kMax);
+      ASSERT_EQ(index.Query(qs[0]),
+                OracleRangeSum(multiset.data(), multiset.size(), qs[0]));
+      ASSERT_TRUE(index.merge_in_progress()) << id << " column " << c;
+      // Live updates next to the frozen ones, mid-merge.
+      append(kMin);
+      append(kMax);
+      remove(kMin);
+      ask_all("merging");
+      while (index.merge_in_progress()) ask_all("merging");
+      EXPECT_EQ(index.merge_count(), 1u) << id << " column " << c;
+      // Deletes of INT64_MIN/MAX now hit merged values.
+      remove(kMax);
+      remove(kMin);
+      ask_all("merged");
     }
   }
 }

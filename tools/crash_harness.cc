@@ -219,8 +219,8 @@ int RunVerify(const std::string& dir, const std::string& algo,
   // The cold replay must also run on the directory's pinned constants:
   // the crashed server's trajectory is a function of the log AND the
   // pin, not of whatever this verifier process happens to measure.
-  MachineConstants pinned = GlobalMachineConstants();
-  persist::PinOrLoadCalibration(dir, &pinned);
+  MachineConstants pinned;
+  persist::PinOrLoadCalibration(dir, GlobalMachineConstants, &pinned);
   std::unique_ptr<IndexBase> cold = make_fresh(pinned);
   std::vector<QueryResult> sink;
   for (const persist::WalEpoch& e : epochs) {
