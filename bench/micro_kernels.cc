@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the kernels behind the cost
 // model's Table 1 constants: scan kernels, crack kernels, bucket
-// appends, AVL inserts, and B+-tree lookups — plus scalar-tier vs
+// appends, and B+-tree lookups — plus scalar-tier vs
 // dispatched-tier comparisons for the kernel layer.
 //
 // On startup this binary also runs a short hand-timed throughput sweep
@@ -30,8 +30,6 @@
 
 #include <thread>
 
-#include "baselines/avl_tree.h"
-#include "baselines/cracking_kernels.h"
 #include "bench/json_store.h"
 #include "btree/btree.h"
 #include "common/predication.h"
@@ -191,36 +189,6 @@ void BM_CrackInPlaceDispatchedTier(benchmark::State& state) {
 }
 BENCHMARK(BM_CrackInPlaceDispatchedTier)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_CrackInTwoPredicated(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<value_t> original = RandomData(n, 2);
-  std::vector<value_t> data = original;
-  for (auto _ : state) {
-    state.PauseTiming();
-    data = original;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(CrackInTwoPredicated(
-        data.data(), 0, n, static_cast<value_t>(n / 2)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_CrackInTwoPredicated)->Arg(1 << 16)->Arg(1 << 20);
-
-void BM_CrackInTwoBranched(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<value_t> original = RandomData(n, 2);
-  std::vector<value_t> data = original;
-  for (auto _ : state) {
-    state.PauseTiming();
-    data = original;
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(CrackInTwoBranched(
-        data.data(), 0, n, static_cast<value_t>(n / 2)));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_CrackInTwoBranched)->Arg(1 << 16)->Arg(1 << 20);
-
 void BM_BucketChainAppend(benchmark::State& state) {
   const size_t n = 1 << 16;
   const std::vector<value_t> data = RandomData(n, 3);
@@ -247,20 +215,6 @@ void BM_ScatterToChains(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_ScatterToChains)->Arg(256)->Arg(4096)->Arg(65536);
-
-void BM_AvlInsert(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const std::vector<value_t> data = RandomData(n, 4);
-  for (auto _ : state) {
-    AvlTree tree;
-    for (size_t i = 0; i < n; i++) {
-      tree.Insert(data[i], static_cast<size_t>(data[i]));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_AvlInsert)->Arg(1 << 10)->Arg(1 << 14);
 
 void BM_BTreeLookup(benchmark::State& state) {
   const size_t n = 1 << 20;

@@ -4,8 +4,6 @@
 #include <limits>
 #include <vector>
 
-#include "baselines/cracking_kernels.h"
-
 namespace progidx {
 
 void AdaptiveAdaptiveIndexing::RangePartition(size_t start, size_t end,
@@ -38,24 +36,21 @@ void AdaptiveAdaptiveIndexing::RangePartition(size_t start, size_t end,
     // A boundary goes in only with values on both sides of it, so some
     // value's offset is >= p * width: the boundary lies in [lo, hi].
     if (p > 0 && pos > start && pos < end) {
-      cracker_.index().Insert(static_cast<value_t>(base + p * width), pos);
+      cracker_.AddBoundary(static_cast<value_t>(base + p * width), pos);
     }
     for (const value_t v : parts[p]) data[pos++] = v;
   }
 }
 
 void AdaptiveAdaptiveIndexing::CrackAt(value_t v) {
-  if (cracker_.index().Contains(v)) return;
-  const AvlTree::Piece piece = cracker_.PieceFor(v);
+  if (cracker_.index().contains(v)) return;
+  const CrackerColumn::Piece piece = cracker_.PieceFor(v);
   // Eagerly sub-partition large touched pieces (AA invests extra work
   // per query to converge quickly), then crack exactly.
   if (piece.end - piece.start > l2_elements_) {
     RangePartition(piece.start, piece.end, refine_fanout_);
   }
-  const AvlTree::Piece refined = cracker_.PieceFor(v);
-  const size_t boundary = CrackInTwoPredicated(cracker_.data(),
-                                               refined.start, refined.end, v);
-  cracker_.index().Insert(v, boundary);
+  cracker_.CrackAt(v);
 }
 
 QueryResult AdaptiveAdaptiveIndexing::Query(const RangeQuery& q) {

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "baselines/cracking_kernels.h"
-
 namespace progidx {
 
 void CoarseGranularIndex::EqualSplit(size_t start, size_t end,
@@ -16,20 +14,12 @@ void CoarseGranularIndex::EqualSplit(size_t start, size_t end,
   const size_t mid = start + (end - start) / 2;
   std::nth_element(data + start, data + mid, data + end);
   const value_t median = data[mid];
-  const size_t boundary = CrackInTwoPredicated(data, start, end, median);
+  const size_t boundary = cracker_.Crack(start, end, median);
   if (boundary > start && boundary < end) {
-    cracker_.index().Insert(median, boundary);
+    cracker_.AddBoundary(median, boundary);
     EqualSplit(start, boundary, depth - 1);
     EqualSplit(boundary, end, depth - 1);
   }
-}
-
-void CoarseGranularIndex::CrackAt(value_t v) {
-  if (cracker_.index().Contains(v)) return;
-  const AvlTree::Piece piece = cracker_.PieceFor(v);
-  const size_t boundary =
-      CrackInTwoPredicated(cracker_.data(), piece.start, piece.end, v);
-  cracker_.index().Insert(v, boundary);
 }
 
 QueryResult CoarseGranularIndex::Query(const RangeQuery& q) {
@@ -40,8 +30,10 @@ QueryResult CoarseGranularIndex::Query(const RangeQuery& q) {
     EqualSplit(0, cracker_.size(), depth);
     initialized_ = true;
   }
-  CrackAt(q.low);
-  if (q.high != std::numeric_limits<value_t>::max()) CrackAt(q.high + 1);
+  cracker_.CrackAt(q.low);
+  if (q.high != std::numeric_limits<value_t>::max()) {
+    cracker_.CrackAt(q.high + 1);
+  }
   return cracker_.Answer(q);
 }
 

@@ -28,7 +28,6 @@ class CoarseGranularIndex : public IndexBase {
  private:
   /// Recursively median-splits [start, end) until `depth` halvings.
   void EqualSplit(size_t start, size_t end, size_t depth);
-  void CrackAt(value_t v);
 
   CrackerColumn cracker_;
   size_t partitions_;

@@ -1,12 +1,22 @@
 #include "baselines/full_index.h"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
+#include "common/validate.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
 namespace progidx {
+
+FullIndex::FullIndex(const Column& column, size_t fanout)
+    : column_(column), fanout_(fanout) {
+  if (fanout < 2) {
+    FailInvalidArgument("FullIndex: btree_fanout " + std::to_string(fanout) +
+                        " must be >= 2");
+  }
+}
 
 QueryResult FullIndex::Query(const RangeQuery& q) {
   if (!built_) {

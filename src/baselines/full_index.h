@@ -14,9 +14,8 @@ namespace progidx {
 /// extreme of Table 2: worst first query, best cumulative time.
 class FullIndex : public IndexBase {
  public:
-  /// `fanout` is the B+-tree fanout β.
-  explicit FullIndex(const Column& column, size_t fanout = 64)
-      : column_(column), fanout_(fanout) {}
+  /// `fanout` is the B+-tree fanout β, at least 2.
+  explicit FullIndex(const Column& column, size_t fanout = 64);
 
   QueryResult Query(const RangeQuery& q) override;
   bool converged() const override { return built_; }

@@ -5,11 +5,32 @@
 #include <string>
 
 #include "baselines/cracker_column.h"
-#include "baselines/cracking_kernels.h"
 #include "common/rng.h"
 #include "core/index_base.h"
 
 namespace progidx {
+
+/// Resumable crack state for budget-limited cracking (Progressive
+/// Stochastic Cracking) of a piece [start, end): [start, lo) holds
+/// values < pivot, (hi, end-1] holds values >= pivot, [lo, hi] is
+/// unpartitioned.
+struct PartialCrack {
+  value_t pivot = 0;
+  size_t lo = 0;
+  size_t hi = 0;  // inclusive
+  bool done = false;
+  size_t boundary = 0;  // valid when done
+};
+
+/// Starts a crack of data[start, end); call AdvancePartialCrack to make
+/// progress.
+PartialCrack BeginPartialCrack(size_t start, size_t end, value_t pivot);
+
+/// Advances the crack by at most `max_swaps` steps of the dispatched
+/// kernels::CrackInPlace; returns steps consumed. Sets `crack->done`
+/// and `crack->boundary` on completion.
+size_t AdvancePartialCrack(value_t* data, PartialCrack* crack,
+                           size_t max_swaps);
 
 /// Progressive Stochastic Cracking (Halim et al. [12]): stochastic
 /// cracking with a cap on the number of swaps per query (a percentage

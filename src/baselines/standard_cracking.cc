@@ -2,17 +2,32 @@
 
 #include <algorithm>
 #include <limits>
-
-#include "baselines/cracking_kernels.h"
+#include <utility>
 
 namespace progidx {
 
-void StandardCracking::CrackAt(value_t v) {
-  if (cracker_.index().Contains(v)) return;
-  const AvlTree::Piece piece = cracker_.PieceFor(v);
-  const size_t boundary =
-      CrackInTwoPredicated(cracker_.data(), piece.start, piece.end, v);
-  cracker_.index().Insert(v, boundary);
+CrackInThreeResult CrackInThree(value_t* data, size_t start, size_t end,
+                                value_t lo_pivot, value_t hi_pivot) {
+  PROGIDX_CHECK(lo_pivot <= hi_pivot);
+  // Dutch national flag: lt = frontier of the < region, gt = frontier
+  // of the >= hi region, i = scan cursor over the unknown middle.
+  size_t lt = start;
+  size_t gt = end;
+  size_t i = start;
+  while (i < gt) {
+    const value_t v = data[i];
+    if (v < lo_pivot) {
+      std::swap(data[i], data[lt]);
+      lt++;
+      i++;
+    } else if (v >= hi_pivot) {
+      gt--;
+      std::swap(data[i], data[gt]);
+    } else {
+      i++;
+    }
+  }
+  return CrackInThreeResult{lt, gt};
 }
 
 QueryResult StandardCracking::Query(const RangeQuery& q) {
@@ -43,7 +58,7 @@ void StandardCracking::CrackForBatch(const RangeQuery* qs, size_t count) {
       scratch_bounds_.end());
   for (size_t i = 0; i < scratch_bounds_.size();) {
     const value_t lo = scratch_bounds_[i];
-    if (cracker_.index().Contains(lo)) {
+    if (cracker_.index().contains(lo)) {
       i++;
       continue;
     }
@@ -52,18 +67,18 @@ void StandardCracking::CrackForBatch(const RangeQuery* qs, size_t count) {
     // classic crack-in-three of Idreos et al. [16]).
     if (i + 1 < scratch_bounds_.size()) {
       const value_t hi = scratch_bounds_[i + 1];
-      if (!cracker_.index().Contains(hi) &&
+      if (!cracker_.index().contains(hi) &&
           cracker_.PieceFor(lo).start == cracker_.PieceFor(hi).start) {
-        const AvlTree::Piece piece = cracker_.PieceFor(lo);
+        const CrackerColumn::Piece piece = cracker_.PieceFor(lo);
         const CrackInThreeResult r =
             CrackInThree(cracker_.data(), piece.start, piece.end, lo, hi);
-        cracker_.index().Insert(lo, r.lo_boundary);
-        cracker_.index().Insert(hi, r.hi_boundary);
+        cracker_.AddBoundary(lo, r.lo_boundary);
+        cracker_.AddBoundary(hi, r.hi_boundary);
         i += 2;
         continue;
       }
     }
-    CrackAt(lo);
+    cracker_.CrackAt(lo);
     i++;
   }
 }
@@ -73,7 +88,6 @@ void StandardCracking::QueryBatch(const RangeQuery* qs, size_t count,
   if (count == 0) return;
   CrackForBatch(qs, count);
   std::fill(out, out + count, QueryResult{});
-  const size_t n = cracker_.size();
   // Piece-aligned covering region per query, merged so overlapping
   // regions — early on, most of the column for every query — are
   // loaded once. A piece outside a query's region cannot hold values
@@ -81,9 +95,10 @@ void StandardCracking::QueryBatch(const RangeQuery* qs, size_t count,
   // zero there and totals stay bit-identical to the per-query scans.
   scratch_regions_.clear();
   for (size_t i = 0; i < count; i++) {
-    const size_t start = cracker_.index().LowerPos(qs[i].low);
-    const size_t end = cracker_.index().UpperPos(qs[i].high, n);
-    if (start < end) scratch_regions_.push_back({start, end});
+    const CrackerColumn::Piece cover = cracker_.Cover(qs[i]);
+    if (cover.start < cover.end) {
+      scratch_regions_.push_back({cover.start, cover.end});
+    }
   }
   exec::MergePosRanges(&scratch_regions_);
   pset_.Reset(qs, count);

@@ -9,9 +9,23 @@
 
 namespace progidx {
 
+/// Result of a three-way crack: data[start, lo_boundary) < lo_pivot,
+/// data[lo_boundary, hi_boundary) in [lo_pivot, hi_pivot),
+/// data[hi_boundary, end) >= hi_pivot.
+struct CrackInThreeResult {
+  size_t lo_boundary = 0;
+  size_t hi_boundary = 0;
+};
+
+/// Three-way partition (Dutch-national-flag style), the kernel standard
+/// cracking uses when both query bounds fall into the same piece.
+/// Requires lo_pivot <= hi_pivot.
+CrackInThreeResult CrackInThree(value_t* data, size_t start, size_t end,
+                                value_t lo_pivot, value_t hi_pivot);
+
 /// Standard Cracking (Idreos et al. [16]): each query physically cracks
 /// the column at its two predicate values and records the boundaries in
-/// the AVL cracker index. Refinement happens only where the workload
+/// the cracker index. Refinement happens only where the workload
 /// looks, so convergence is workload-dependent.
 class StandardCracking : public IndexBase {
  public:
@@ -38,9 +52,6 @@ class StandardCracking : public IndexBase {
   const CrackerColumn& cracker() const { return cracker_; }
 
  private:
-  /// Cracks the piece containing `v` at `v` (no-op if already a
-  /// boundary).
-  void CrackAt(value_t v);
   /// Multi-pivot crack on every batch member's bounds, ascending.
   void CrackForBatch(const RangeQuery* qs, size_t count);
 

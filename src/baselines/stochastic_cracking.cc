@@ -1,20 +1,15 @@
 #include "baselines/stochastic_cracking.h"
 
-#include "baselines/cracking_kernels.h"
-
 namespace progidx {
 
 void StochasticCracking::RandomCrackAt(value_t v) {
-  const AvlTree::Piece piece = cracker_.PieceFor(v);
+  const CrackerColumn::Piece piece = cracker_.PieceFor(v);
   if (piece.end - piece.start <= min_piece_size_) return;
   // Pivot = a random element of the piece, never the query predicate.
+  // It lies in v's piece, so CrackAt cracks that same piece.
   const size_t pick =
       piece.start + rng_.NextBounded(piece.end - piece.start);
-  const value_t pivot = cracker_.data()[pick];
-  if (cracker_.index().Contains(pivot)) return;
-  const size_t boundary =
-      CrackInTwoPredicated(cracker_.data(), piece.start, piece.end, pivot);
-  cracker_.index().Insert(pivot, boundary);
+  cracker_.CrackAt(cracker_.data()[pick]);
 }
 
 QueryResult StochasticCracking::Query(const RangeQuery& q) {

@@ -45,7 +45,6 @@ class BPlusTree {
   /// executor turns each query's matched region into a leaf run over
   /// this array so overlapping regions scan once per batch.
   const value_t* leaf_data() const { return sorted_; }
-  size_t leaf_count() const { return n_; }
 
   /// Internal levels as built so far (levels_[0] from the base array,
   /// root last); exposed for construction-parity tests.

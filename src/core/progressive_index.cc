@@ -1,18 +1,48 @@
 #include "core/progressive_index.h"
 
 #include <algorithm>
+#include <bit>
+#include <string>
 
+#include "common/validate.h"
 #include "exec/batch_refine.h"
 #include "persist/io.h"
 
 namespace progidx {
+
+namespace {
+
+/// Rejects options no index can be built with, before anything is sized
+/// from them. A message is built only on failure: one string allocated
+/// on every construction shifted the heap enough to move perfbench's
+/// explore_skyserver peak_rss_mb by 3.4 MiB on one seed.
+const ProgressiveOptions& Validated(const ProgressiveOptions& options) {
+  // MSD's root mask must name exactly its bucket_count chains.
+  if (options.bucket_count < 2 ||
+      !std::has_single_bit(options.bucket_count)) {
+    FailInvalidArgument("ProgressiveOptions: bucket_count " +
+                        std::to_string(options.bucket_count) +
+                        " must be a power of two >= 2");
+  }
+  if (options.block_capacity < 1) {
+    FailInvalidArgument("ProgressiveOptions: block_capacity must be >= 1");
+  }
+  if (options.btree_fanout < 2) {
+    FailInvalidArgument("ProgressiveOptions: btree_fanout " +
+                        std::to_string(options.btree_fanout) +
+                        " must be >= 2");
+  }
+  return options;
+}
+
+}  // namespace
 
 ProgressiveIndex::ProgressiveIndex(const Column& column,
                                    const BudgetSpec& budget,
                                    const ProgressiveOptions& options,
                                    const char* telemetry_id, int build_phases)
     : column_(column),
-      options_(options),
+      options_(Validated(options)),
       model_(options.Machine(), column.size(), options.bucket_count,
              options.block_capacity),
       budget_(budget, model_),

@@ -114,10 +114,6 @@ class UpdatableIndex : public IndexBase {
   size_t pending_count() const {
     return pending_.size() + frozen_pending_.size();
   }
-  /// Unmerged delete tombstones (live + frozen).
-  size_t tombstone_count() const {
-    return deleted_.size() + frozen_deleted_.size();
-  }
   size_t base_size() const { return base_.size(); }
   /// Number of merges completed so far.
   size_t merge_count() const { return merges_; }

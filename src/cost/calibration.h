@@ -58,11 +58,6 @@ struct MachineConstants {
   /// "avx2", "avx512") — informational, for reports and benchmark
   /// metadata.
   const char* kernel_name = "scalar";
-
-  /// Full-scan time for n elements: t_scan = ω * N / γ.
-  double ScanSecs(size_t n) const {
-    return seq_read_secs * static_cast<double>(n);
-  }
 };
 
 /// Measures the machine constants with short micro-benchmarks on the

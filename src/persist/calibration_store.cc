@@ -3,7 +3,7 @@
 #include <sys/stat.h>
 
 #include <cmath>
-#include <cstring>
+#include <type_traits>
 
 #include "persist/io.h"
 
@@ -27,7 +27,54 @@ const char* InternKernelName(const std::string& name) {
   return "pinned";
 }
 
-bool FiniteAndPositive(double v) { return std::isfinite(v) && v > 0; }
+/// Calls `field` on every numeric field of `c` (a MachineConstants,
+/// const or not) in pin-file order: the one list of them, which the
+/// pin's writer, its reader and the fingerprint share. A new field is
+/// added here and nowhere else.
+template <typename Constants, typename Field>
+void ForEachNumericField(Constants& c, Field&& field) {
+  field(c.seq_read_secs);
+  field(c.seq_write_secs);
+  field(c.random_access_secs);
+  field(c.swap_secs);
+  field(c.alloc_secs);
+  field(c.bucket_scan_secs);
+  field(c.bucket_append_secs);
+  field(c.batch_lookup_secs);
+  field(c.sort_unit_scale);
+  for (auto& s : c.scan_scale) field(s);
+  field(c.elements_per_page);
+  field(c.l1_cache_elements);
+  field(c.l2_cache_elements);
+}
+
+/// Appends every numeric field as 8 little-endian bytes: a double's bit
+/// pattern, a count as u64.
+void WriteNumericFields(const MachineConstants& c, Writer* w) {
+  ForEachNumericField(c, [w](const auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      w->WriteDouble(v);
+    } else {
+      w->WriteU64(v);
+    }
+  });
+}
+
+/// Reads what WriteNumericFields wrote into `*c`; false unless every
+/// double is finite and positive and every count nonzero.
+bool ReadNumericFields(Reader* r, MachineConstants* c) {
+  bool valid = true;
+  ForEachNumericField(*c, [r, &valid](auto& v) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(v)>, double>) {
+      v = r->ReadDouble();
+      valid = valid && std::isfinite(v) && v > 0;
+    } else {
+      v = r->ReadU64();
+      valid = valid && v > 0;
+    }
+  });
+  return valid;
+}
 
 }  // namespace
 
@@ -42,34 +89,10 @@ bool PinOrLoadCalibration(const std::string& dir,
   if (r.ok()) {
     MachineConstants loaded;
     const uint64_t version = r.ReadU64();
-    loaded.seq_read_secs = r.ReadDouble();
-    loaded.seq_write_secs = r.ReadDouble();
-    loaded.random_access_secs = r.ReadDouble();
-    loaded.swap_secs = r.ReadDouble();
-    loaded.alloc_secs = r.ReadDouble();
-    loaded.bucket_scan_secs = r.ReadDouble();
-    loaded.bucket_append_secs = r.ReadDouble();
-    loaded.batch_lookup_secs = r.ReadDouble();
-    loaded.sort_unit_scale = r.ReadDouble();
-    for (double& s : loaded.scan_scale) s = r.ReadDouble();
-    loaded.elements_per_page = r.ReadU64();
-    loaded.l1_cache_elements = r.ReadU64();
-    loaded.l2_cache_elements = r.ReadU64();
+    const bool numbers_valid = ReadNumericFields(&r, &loaded);
     loaded.kernel_name = InternKernelName(r.ReadString());
-    bool valid = r.AtEnd() && version == kCalibrationVersion &&
-                 FiniteAndPositive(loaded.seq_read_secs) &&
-                 FiniteAndPositive(loaded.seq_write_secs) &&
-                 FiniteAndPositive(loaded.random_access_secs) &&
-                 FiniteAndPositive(loaded.swap_secs) &&
-                 FiniteAndPositive(loaded.alloc_secs) &&
-                 FiniteAndPositive(loaded.bucket_scan_secs) &&
-                 FiniteAndPositive(loaded.bucket_append_secs) &&
-                 FiniteAndPositive(loaded.batch_lookup_secs) &&
-                 FiniteAndPositive(loaded.sort_unit_scale) &&
-                 loaded.elements_per_page > 0 &&
-                 loaded.l1_cache_elements > 0 &&
-                 loaded.l2_cache_elements > 0;
-    for (double s : loaded.scan_scale) valid = valid && FiniteAndPositive(s);
+    const bool valid =
+        numbers_valid && r.AtEnd() && version == kCalibrationVersion;
     if (valid) {
       *constants = loaded;
       return true;
@@ -82,19 +105,7 @@ bool PinOrLoadCalibration(const std::string& dir,
   *constants = measure();
   Writer w;
   w.WriteU64(kCalibrationVersion);
-  w.WriteDouble(constants->seq_read_secs);
-  w.WriteDouble(constants->seq_write_secs);
-  w.WriteDouble(constants->random_access_secs);
-  w.WriteDouble(constants->swap_secs);
-  w.WriteDouble(constants->alloc_secs);
-  w.WriteDouble(constants->bucket_scan_secs);
-  w.WriteDouble(constants->bucket_append_secs);
-  w.WriteDouble(constants->batch_lookup_secs);
-  w.WriteDouble(constants->sort_unit_scale);
-  for (double s : constants->scan_scale) w.WriteDouble(s);
-  w.WriteU64(constants->elements_per_page);
-  w.WriteU64(constants->l1_cache_elements);
-  w.WriteU64(constants->l2_cache_elements);
+  WriteNumericFields(*constants, &w);
   w.WriteString(constants->kernel_name);
   if (!w.Publish(path)) return false;
   if (pinned_now != nullptr) *pinned_now = true;
@@ -102,33 +113,13 @@ bool PinOrLoadCalibration(const std::string& dir,
 }
 
 uint64_t CalibrationFingerprint(const MachineConstants& constants) {
-  // Canonical little-endian image of every numeric field, in the same
-  // order the pin file serializes them. kernel_name is informational
-  // and excluded on purpose: interning an unknown name as "pinned"
-  // must not change the fingerprint of otherwise-identical constants.
-  std::string buf;
-  auto put_double = [&buf](double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    buf.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
-  };
-  auto put_u64 = [&buf](uint64_t v) {
-    buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-  };
-  put_double(constants.seq_read_secs);
-  put_double(constants.seq_write_secs);
-  put_double(constants.random_access_secs);
-  put_double(constants.swap_secs);
-  put_double(constants.alloc_secs);
-  put_double(constants.bucket_scan_secs);
-  put_double(constants.bucket_append_secs);
-  put_double(constants.batch_lookup_secs);
-  put_double(constants.sort_unit_scale);
-  for (double s : constants.scan_scale) put_double(s);
-  put_u64(constants.elements_per_page);
-  put_u64(constants.l1_cache_elements);
-  put_u64(constants.l2_cache_elements);
-  const uint32_t crc = Crc32(buf.data(), buf.size());
+  // Canonical little-endian image of every numeric field, exactly as
+  // the pin file serializes them. kernel_name is informational and
+  // excluded on purpose: interning an unknown name as "pinned" must not
+  // change the fingerprint of otherwise-identical constants.
+  Writer w;
+  WriteNumericFields(constants, &w);
+  const uint32_t crc = Crc32(w.payload().data(), w.payload().size());
   // 0 is the sentinel for "constants-independent"; remap the (1 in
   // 2^32) colliding fingerprint so it can never be mistaken for it.
   return crc != 0 ? crc : 1;

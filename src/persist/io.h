@@ -159,9 +159,6 @@ class Reader {
   static Reader FromPayload(std::string payload);
 
   bool ok() const { return ok_; }
-  /// Marks the payload invalid from the loader's side (a semantic
-  /// check failed, e.g. an impossible cursor position).
-  void MarkCorrupt() { ok_ = false; }
 
   uint32_t ReadU32() { return static_cast<uint32_t>(ReadU64()); }
   uint64_t ReadU64();

@@ -219,19 +219,7 @@ Response Server::Submit(const ServeRequest& req) {
     case AdmitResult::kClosed:      // shutdown race: still resolve exactly
       return Degrade(req);
   }
-  ServeSlot::State state;
-  {
-    obs::TraceScope wait_span("queue_wait", "serve");
-    const uint64_t wait_start = qt.armed() ? obs::TraceNowNs() : 0;
-    state = slot.Wait();
-    if (qt.armed()) QueueWaitHist().Record(obs::TraceNowNs() - wait_start);
-  }
-  if (qt.armed()) SubmitLatencyHist().Record(qt.ElapsedNs());
-  if (state == ServeSlot::State::kServed) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-    return Response{slot.result, false};
-  }
-  return Degrade(req);  // deadline expired at epoch formation
+  return AwaitAdmitted(&slot, qt);
 }
 
 SubmitStatus Server::TrySubmit(const ServeRequest& req, Response* out) {
@@ -252,21 +240,24 @@ SubmitStatus Server::TrySubmit(const ServeRequest& req, Response* out) {
     case AdmitResult::kClosed:
       return SubmitStatus::kShutdown;
   }
+  *out = AwaitAdmitted(&slot, qt);
+  return SubmitStatus::kOk;
+}
+
+Response Server::AwaitAdmitted(ServeSlot* slot, const obs::QueryTimer& qt) {
   ServeSlot::State state;
   {
     obs::TraceScope wait_span("queue_wait", "serve");
     const uint64_t wait_start = qt.armed() ? obs::TraceNowNs() : 0;
-    state = slot.Wait();
+    state = slot->Wait();
     if (qt.armed()) QueueWaitHist().Record(obs::TraceNowNs() - wait_start);
   }
   if (qt.armed()) SubmitLatencyHist().Record(qt.ElapsedNs());
   if (state == ServeSlot::State::kServed) {
     served_.fetch_add(1, std::memory_order_relaxed);
-    *out = Response{slot.result, false};
-  } else {
-    *out = Degrade(req);
+    return Response{slot->result, false};
   }
-  return SubmitStatus::kOk;
+  return Degrade(slot->request);  // deadline expired at epoch formation
 }
 
 Response Server::SubmitOrdered(uint64_t ticket, const ServeRequest& req) {

@@ -20,6 +20,9 @@
 #include "storage/column.h"
 
 namespace progidx {
+namespace obs {
+class QueryTimer;
+}  // namespace obs
 namespace serve {
 
 /// Serving-layer configuration. Validated by the Server constructor
@@ -216,6 +219,10 @@ class Server {
   /// once stopped with nothing pending.
   void PublisherLoop();
   Response Degrade(const ServeRequest& req);
+  /// The wait Submit and TrySubmit share once `slot` is admitted: the
+  /// queue_wait span, the queue-wait and submit-latency (from `qt`)
+  /// histograms, then the served answer or a degraded one.
+  Response AwaitAdmitted(ServeSlot* slot, const obs::QueryTimer& qt);
   /// Read-epoch fast path; true when answered.
   bool TryReadEpoch(const RangeQuery& q, Response* out);
   /// Opens the WAL and checkpointer under config_.persist_dir;

@@ -26,7 +26,7 @@ void ExpectCrackerInvariant(const CrackerColumn& cracker) {
   size_t last_pos = 0;
   bool first = true;
   const value_t* data = cracker.data();
-  cracker.index().InOrder([&](value_t key, size_t pos) {
+  for (const auto& [key, pos] : cracker.index()) {
     if (!first) {
       EXPECT_GT(key, last_key);
       EXPECT_GE(pos, last_pos);
@@ -40,7 +40,7 @@ void ExpectCrackerInvariant(const CrackerColumn& cracker) {
     for (size_t i = pos; i < cracker.size(); i++) {
       ASSERT_GE(data[i], key) << "element " << i << " vs boundary " << key;
     }
-  });
+  }
 }
 
 /// Cracking permutes the copy, never loses elements.
@@ -75,7 +75,7 @@ TEST(StandardCrackingTest, QueriesNarrowTheScannedPiece) {
   index.Query(q);
   // After cracking at 5000 and 8001, the piece for the same query is
   // exactly the matching tuples.
-  const AvlTree::Piece piece = index.cracker().PieceFor(5000);
+  const CrackerColumn::Piece piece = index.cracker().PieceFor(5000);
   const QueryResult result = index.Query(q);
   EXPECT_EQ(static_cast<int64_t>(piece.end - piece.start), result.count);
 }
@@ -148,10 +148,10 @@ TEST(CoarseGranularIndexTest, FirstQueryCreatesEqualPieces) {
   // Pieces should be roughly equal-sized: largest < 4x the ideal.
   size_t last_pos = 0;
   size_t largest = 0;
-  index.cracker().index().InOrder([&](value_t, size_t pos) {
+  for (const auto& [key, pos] : index.cracker().index()) {
     largest = std::max(largest, pos - last_pos);
     last_pos = pos;
-  });
+  }
   largest = std::max(largest, kN - last_pos);
   EXPECT_LT(largest, kN / 16);
 }

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <vector>
 
-#include "baselines/cracking_kernels.h"
+#include "baselines/cracker_column.h"
+#include "baselines/progressive_stochastic_cracking.h"
+#include "baselines/standard_cracking.h"
 #include "common/rng.h"
 
 namespace progidx {
@@ -16,8 +18,8 @@ std::vector<value_t> RandomData(size_t n, uint64_t seed) {
   return data;
 }
 
-void ExpectValidCrack(const std::vector<value_t>& data, size_t start,
-                      size_t end, size_t boundary, value_t pivot) {
+void ExpectValidCrack(const value_t* data, size_t start, size_t end,
+                      size_t boundary, value_t pivot) {
   ASSERT_GE(boundary, start);
   ASSERT_LE(boundary, end);
   for (size_t i = start; i < boundary; i++) {
@@ -30,71 +32,67 @@ void ExpectValidCrack(const std::vector<value_t>& data, size_t start,
 
 class CrackKernelTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(CrackKernelTest, BranchedKernelPartitions) {
-  std::vector<value_t> data = RandomData(777, GetParam());
-  auto sorted_before = data;
-  std::sort(sorted_before.begin(), sorted_before.end());
-  const size_t b = CrackInTwoBranched(data.data(), 0, data.size(), 500);
-  ExpectValidCrack(data, 0, data.size(), b, 500);
-  // Cracking permutes, never loses elements.
-  std::sort(data.begin(), data.end());
-  EXPECT_EQ(data, sorted_before);
-}
-
 TEST_P(CrackKernelTest, PredicatedKernelPartitions) {
-  std::vector<value_t> data = RandomData(777, GetParam());
-  const size_t b = CrackInTwoPredicated(data.data(), 0, data.size(), 500);
-  ExpectValidCrack(data, 0, data.size(), b, 500);
-}
-
-TEST_P(CrackKernelTest, KernelsAgreeOnBoundary) {
-  std::vector<value_t> a = RandomData(512, GetParam());
-  std::vector<value_t> b = a;
-  const size_t ba = CrackInTwoBranched(a.data(), 0, a.size(), 333);
-  const size_t bb = CrackInTwoPredicated(b.data(), 0, b.size(), 333);
-  EXPECT_EQ(ba, bb);  // same boundary regardless of kernel
+  const Column column(RandomData(777, GetParam()));
+  CrackerColumn cracker(column);
+  cracker.EnsureMaterialized();
+  const size_t b = cracker.Crack(0, cracker.size(), 500);
+  ExpectValidCrack(cracker.data(), 0, cracker.size(), b, 500);
+  // Cracking permutes, never loses elements.
+  std::vector<value_t> got(cracker.data(), cracker.data() + cracker.size());
+  std::vector<value_t> expected = column.values();
+  std::sort(got.begin(), got.end());
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(got, expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CrackKernelTest, ::testing::Range(1, 11));
 
 TEST(CrackKernelTest, SubrangeCrackLeavesRestUntouched) {
-  std::vector<value_t> data = RandomData(100, 5);
-  const std::vector<value_t> before = data;
-  const size_t b = CrackInTwoPredicated(data.data(), 20, 80, 500);
-  ExpectValidCrack(data, 20, 80, b, 500);
-  for (size_t i = 0; i < 20; i++) EXPECT_EQ(data[i], before[i]);
-  for (size_t i = 80; i < 100; i++) EXPECT_EQ(data[i], before[i]);
+  const Column column(RandomData(100, 5));
+  CrackerColumn cracker(column);
+  cracker.EnsureMaterialized();
+  const size_t b = cracker.Crack(20, 80, 500);
+  ExpectValidCrack(cracker.data(), 20, 80, b, 500);
+  for (size_t i = 0; i < 20; i++) EXPECT_EQ(cracker.data()[i], column[i]);
+  for (size_t i = 80; i < 100; i++) EXPECT_EQ(cracker.data()[i], column[i]);
 }
 
 TEST(CrackKernelTest, EmptyAndSingleElementPieces) {
-  std::vector<value_t> data = {42};
-  EXPECT_EQ(CrackInTwoBranched(data.data(), 0, 0, 10), 0u);
-  EXPECT_EQ(CrackInTwoPredicated(data.data(), 0, 0, 10), 0u);
-  EXPECT_EQ(CrackInTwoBranched(data.data(), 0, 1, 10), 0u);   // 42 >= 10
-  EXPECT_EQ(CrackInTwoBranched(data.data(), 0, 1, 100), 1u);  // 42 < 100
+  const Column column(std::vector<value_t>{42});
+  CrackerColumn cracker(column);
+  cracker.EnsureMaterialized();
+  EXPECT_EQ(cracker.Crack(0, 0, 10), 0u);
+  EXPECT_EQ(cracker.Crack(0, 1, 10), 0u);   // 42 >= 10
+  EXPECT_EQ(cracker.Crack(0, 1, 100), 1u);  // 42 < 100
 }
 
 TEST(CrackKernelTest, AllBelowAndAllAbovePivot) {
-  std::vector<value_t> below = {1, 2, 3, 4};
-  EXPECT_EQ(CrackInTwoPredicated(below.data(), 0, below.size(), 100), 4u);
-  std::vector<value_t> above = {101, 102, 103};
-  EXPECT_EQ(CrackInTwoPredicated(above.data(), 0, above.size(), 100), 0u);
+  const Column below(std::vector<value_t>{1, 2, 3, 4});
+  CrackerColumn below_cracker(below);
+  below_cracker.EnsureMaterialized();
+  EXPECT_EQ(below_cracker.Crack(0, below.size(), 100), 4u);
+  const Column above(std::vector<value_t>{101, 102, 103});
+  CrackerColumn above_cracker(above);
+  above_cracker.EnsureMaterialized();
+  EXPECT_EQ(above_cracker.Crack(0, above.size(), 100), 0u);
 }
 
-TEST(CrackKernelTest, AdaptiveKernelDelegates) {
-  for (double split : {0.01, 0.5, 0.99}) {
-    std::vector<value_t> data = RandomData(300, 8);
-    const size_t b =
-        CrackInTwoAdaptive(data.data(), 0, data.size(), 500, split);
-    ExpectValidCrack(data, 0, data.size(), b, 500);
-  }
+TEST(CrackInThreeTest, SplitsAroundBothPivots) {
+  std::vector<value_t> data = RandomData(1000, 12);
+  const CrackInThreeResult r =
+      CrackInThree(data.data(), 100, 900, 300, 600);
+  ExpectValidCrack(data.data(), 100, 900, r.lo_boundary, 300);
+  ExpectValidCrack(data.data(), 100, 900, r.hi_boundary, 600);
+  EXPECT_LE(r.lo_boundary, r.hi_boundary);
 }
 
 TEST(PartialCrackTest, ResumableCrackMatchesFullCrack) {
   std::vector<value_t> data = RandomData(1000, 9);
-  std::vector<value_t> reference = data;
-  const size_t expected =
-      CrackInTwoPredicated(reference.data(), 0, reference.size(), 444);
+  const Column reference(data);
+  CrackerColumn cracker(reference);
+  cracker.EnsureMaterialized();
+  const size_t expected = cracker.Crack(0, cracker.size(), 444);
 
   PartialCrack crack = BeginPartialCrack(0, data.size(), 444);
   size_t iterations = 0;
@@ -103,7 +101,7 @@ TEST(PartialCrackTest, ResumableCrackMatchesFullCrack) {
     ASSERT_LT(++iterations, 10000u);
   }
   EXPECT_EQ(crack.boundary, expected);
-  ExpectValidCrack(data, 0, data.size(), crack.boundary, 444);
+  ExpectValidCrack(data.data(), 0, data.size(), crack.boundary, 444);
 }
 
 TEST(PartialCrackTest, MidCrackInvariants) {

@@ -482,11 +482,11 @@ TEST(StandardCrackingBatchTest, MultiBoundCrackMatchesSequentialState) {
     if (q.high != kTop) bounds.push_back(q.high + 1);
   }
   for (const value_t b : bounds) {
-    ASSERT_EQ(batched.cracker().index().Contains(b),
-              sequential.cracker().index().Contains(b))
+    ASSERT_EQ(batched.cracker().index().contains(b),
+              sequential.cracker().index().contains(b))
         << "bound " << b;
-    const AvlTree::Piece ps = sequential.cracker().PieceFor(b);
-    const AvlTree::Piece pb = batched.cracker().PieceFor(b);
+    const CrackerColumn::Piece ps = sequential.cracker().PieceFor(b);
+    const CrackerColumn::Piece pb = batched.cracker().PieceFor(b);
     ASSERT_EQ(pb.start, ps.start) << "piece start for bound " << b;
     ASSERT_EQ(pb.end, ps.end) << "piece end for bound " << b;
     std::vector<value_t> slice_seq(sequential.cracker().data() + ps.start,

@@ -1304,6 +1304,20 @@ TEST(PersistCalibrationTest, PinRoundTripWinsOverLaterConstants) {
   EXPECT_STREQ(b.kernel_name, a.kernel_name);  // interned onto a known tier
 }
 
+// The pin file and the fingerprint are on-disk and snapshot formats:
+// these values were produced by the code before the numeric fields were
+// listed once, and any change to that list must move them on purpose.
+TEST(PersistCalibrationTest, PinBytesAndFingerprintAreStable) {
+  EXPECT_EQ(persist::CalibrationFingerprint(FixedConstants()), 1004694974u);
+  TempDir dir;
+  MachineConstants pinned;
+  ASSERT_TRUE(persist::PinOrLoadCalibration(
+      dir.path, [] { return FixedConstants(); }, &pinned));
+  const std::string bytes = ReadFileBytes(dir.path + "/calibration");
+  EXPECT_EQ(bytes.size(), 216u);
+  EXPECT_EQ(persist::Crc32(bytes.data(), bytes.size()), 1317466601u);
+}
+
 TEST(PersistCalibrationTest, CorruptPinIsReplacedNeverLoaded) {
   TempDir dir;
   const MachineConstants a = CraftedConstants();

@@ -6,14 +6,19 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/full_index.h"
 #include "common/cli.h"
 #include "common/validate.h"
 #include "core/budget.h"
 #include "core/decision_tree.h"
+#include "core/progressive_bucketsort.h"
+#include "core/progressive_quicksort.h"
+#include "core/progressive_radixsort_msd.h"
 #include "cost/calibration.h"
 #include "cost/cost_model.h"
 #include "eval/registry.h"
 #include "serve/server.h"
+#include "tests/fixed_constants.h"
 #include "workload/data_generator.h"
 #include "workload/synthetic.h"
 
@@ -58,6 +63,50 @@ TEST_F(ValidationDeathTest, ZeroSizeColumnGenerators) {
 TEST_F(ValidationDeathTest, SkewConcentrationOutOfRange) {
   EXPECT_EXIT(MakeSkewedColumn(100, 42, /*concentration=*/1.5),
               ::testing::ExitedWithCode(1), "invalid argument.*concentration");
+}
+
+/// Options with fixed machine constants, so building an index never
+/// waits on the calibration.
+ProgressiveOptions FixedOptions() {
+  ProgressiveOptions options;
+  options.machine = &FixedConstants();
+  return options;
+}
+
+TEST_F(ValidationDeathTest, ProgressiveBucketCountNotPowerOfTwo) {
+  // MSD's root mask is the next power of two minus one: with 48 chains
+  // it would scatter into chains 48..63, which do not exist.
+  const Column column = MakeUniformColumn(1000, 42);
+  for (const size_t buckets : {size_t{48}, size_t{1}, size_t{0}}) {
+    ProgressiveOptions options = FixedOptions();
+    options.bucket_count = buckets;
+    EXPECT_EXIT(ProgressiveRadixsortMSD(column, BudgetSpec::FixedDelta(0.25),
+                                        options),
+                ::testing::ExitedWithCode(1),
+                "invalid argument.*bucket_count");
+  }
+}
+
+TEST_F(ValidationDeathTest, ProgressiveZeroBlockCapacity) {
+  const Column column = MakeUniformColumn(1000, 42);
+  ProgressiveOptions options = FixedOptions();
+  options.block_capacity = 0;
+  EXPECT_EXIT(ProgressiveBucketsort(column, BudgetSpec::FixedDelta(0.25),
+                                    options),
+              ::testing::ExitedWithCode(1),
+              "invalid argument.*block_capacity");
+}
+
+TEST_F(ValidationDeathTest, ProgressiveFanoutBelowTwo) {
+  // Rejected when the index is built, not when it reaches consolidation.
+  const Column column = MakeUniformColumn(1000, 42);
+  ProgressiveOptions options = FixedOptions();
+  options.btree_fanout = 1;
+  EXPECT_EXIT(ProgressiveQuicksort(column, BudgetSpec::FixedDelta(0.25),
+                                   options),
+              ::testing::ExitedWithCode(1), "invalid argument.*btree_fanout");
+  EXPECT_EXIT(FullIndex(column, /*fanout=*/1), ::testing::ExitedWithCode(1),
+              "invalid argument.*btree_fanout");
 }
 
 TEST_F(ValidationDeathTest, ServerZeroQueueCapacity) {
@@ -128,6 +177,19 @@ TEST_F(ValidationDeathTest, CliIntegerNotANumber) {
   ASSERT_TRUE(cli.Parse(2, argv));
   EXPECT_EXIT(cli.GetIntInRange("clients", 1, 64),
               ::testing::ExitedWithCode(1), "invalid argument.*--clients");
+}
+
+// Positive control: the smallest valid options build and answer.
+TEST(ValidationTest, SmallestValidProgressiveOptions) {
+  const Column column = MakeUniformColumn(1000, 42);
+  ProgressiveOptions options = FixedOptions();
+  options.bucket_count = 2;
+  options.block_capacity = 1;
+  options.btree_fanout = 2;
+  ProgressiveRadixsortMSD index(column, BudgetSpec::FixedDelta(0.25), options);
+  EXPECT_EQ(index.Query({100, 200}).count, 101);
+  FullIndex full(column, /*fanout=*/2);
+  EXPECT_EQ(full.Query({100, 200}).count, 101);
 }
 
 // Positive control: in-range values pass through untouched.
