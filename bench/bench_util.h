@@ -1,13 +1,12 @@
 #ifndef PROGIDX_BENCH_BENCH_UTIL_H_
 #define PROGIDX_BENCH_BENCH_UTIL_H_
 
-// Shared setup for the table/figure reproduction drivers.
+// Shared setup for the bench programs.
 //
-// Scaling note (DESIGN.md §3): the paper runs 10^8–6·10^9 rows and up
-// to 10^6 queries on a 256 GB Xeon; these drivers default to
-// container-friendly sizes and accept --n / --queries to scale up. The
-// comparisons of interest (who wins, by what factor, where crossovers
-// happen) are size-stable.
+// Scaling note: the paper runs 10^8–6·10^9 rows and up to 10^6 queries
+// on a 256 GB Xeon; these programs default to container-friendly sizes
+// and accept --n / --queries to scale up. The comparisons of interest
+// (who wins, by what factor, where crossovers happen) are size-stable.
 
 #include <cstdio>
 #include <string>
@@ -58,7 +57,6 @@ inline void AddCommonFlags(CommandLine* cli) {
   cli->AddFlag("n", "1000000", "column size");
   cli->AddFlag("queries", "1000", "number of queries");
   cli->AddFlag("seed", "42", "RNG seed");
-  cli->AddFlag("csv", "", "optional CSV output path");
 }
 
 struct SkyServerBench {
@@ -74,84 +72,6 @@ inline SkyServerBench MakeSkyServerBench(const CommandLine& cli) {
   bench.column = MakeSkyServerColumn(n, seed);
   bench.queries = MakeSkyServerWorkload(q, seed + 1);
   return bench;
-}
-
-/// Full-scan seconds for the current machine and column size, the
-/// reference cost used for pay-off and the "1.2x scan" budget lines.
-inline double MeasuredScanSecs(const Column& column) {
-  const MachineConstants& mc = GlobalMachineConstants();
-  return mc.seq_read_secs * static_cast<double>(column.size());
-}
-
-// ---- Synthetic grid shared by Tables 3/4/5 --------------------------------
-
-/// One block row of Tables 3–5: a data set + query type + pattern.
-struct GridCase {
-  std::string block;        ///< "UniformRandom", "Skewed", "PointQuery", "Large"
-  WorkloadPattern pattern;
-  Column column;
-  std::vector<RangeQuery> queries;
-};
-
-/// Builds the four experiment blocks of §4.4 ("Synthetic Workloads"),
-/// scaled by --n/--queries. Point-query rows reuse the range patterns'
-/// positions but collapse every range to its midpoint.
-inline std::vector<GridCase> MakeSyntheticGrid(const CommandLine& cli) {
-  const size_t n = static_cast<size_t>(cli.GetInt("n"));
-  const size_t q = static_cast<size_t>(cli.GetInt("queries"));
-  const uint64_t seed = static_cast<uint64_t>(cli.GetInt("seed"));
-  const double selectivity = 0.1;  // §4.1
-
-  const std::vector<WorkloadPattern> range_patterns = {
-      WorkloadPattern::kSeqOver,   WorkloadPattern::kZoomOutAlt,
-      WorkloadPattern::kSkew,      WorkloadPattern::kRandom,
-      WorkloadPattern::kSeqZoomIn, WorkloadPattern::kPeriodic,
-      WorkloadPattern::kZoomInAlt, WorkloadPattern::kZoomIn};
-  const std::vector<WorkloadPattern> point_patterns = {
-      WorkloadPattern::kSeqOver, WorkloadPattern::kZoomOutAlt,
-      WorkloadPattern::kSkew,    WorkloadPattern::kRandom,
-      WorkloadPattern::kPeriodic, WorkloadPattern::kZoomInAlt};
-  const std::vector<WorkloadPattern> large_patterns = {
-      WorkloadPattern::kSeqOver, WorkloadPattern::kSkew,
-      WorkloadPattern::kRandom};
-
-  std::vector<GridCase> grid;
-  auto add_block = [&](const std::string& block, Column column,
-                       const std::vector<WorkloadPattern>& patterns,
-                       bool points) {
-    for (const WorkloadPattern pattern : patterns) {
-      GridCase c;
-      c.block = block;
-      c.pattern = pattern;
-      // Re-generate the column per case (Column is move-only and each
-      // case owns its data so cases stay independent).
-      c.column = Column(column.values());
-      c.queries = WorkloadGenerator::Generate(
-          pattern, c.column.min_value(), c.column.max_value(), q,
-          selectivity, seed + 13);
-      if (points) {
-        for (RangeQuery& query : c.queries) {
-          const value_t mid = query.low + (query.high - query.low) / 2;
-          query = RangeQuery{mid, mid};
-        }
-      }
-      grid.push_back(std::move(c));
-    }
-  };
-
-  add_block("UniformRandom", MakeUniformColumn(n, seed), range_patterns,
-            false);
-  add_block("Skewed", MakeSkewedColumn(n, seed), range_patterns, false);
-  add_block("PointQuery", MakeUniformColumn(n, seed), point_patterns, true);
-  add_block("Large(4x)", MakeUniformColumn(4 * n, seed), large_patterns,
-            false);
-  return grid;
-}
-
-/// Algorithms compared in Tables 3–5 (the best adaptive technique, AA,
-/// plus the four progressive ones).
-inline std::vector<std::string> GridIndexIds() {
-  return {"pq", "pb", "plsd", "pmsd", "aa"};
 }
 
 }  // namespace bench

@@ -8,7 +8,6 @@
 #include "core/decision_tree.h"
 #include "eval/experiment.h"
 #include "eval/registry.h"
-#include "eval/report.h"
 #include "workload/data_generator.h"
 #include "workload/synthetic.h"
 
@@ -48,16 +47,15 @@ int main(int argc, char** argv) {
                                                : WorkloadPattern::kRandom,
       column.min_value(), column.max_value(), 300, 0.1, 13);
 
-  TableReport report({"technique", "cumulative_s", "convergence_q",
-                      "recommended"});
+  std::printf("%-20s %12s %13s\n", "technique", "cumulative_s",
+              "convergence_q");
   for (const std::string& id : ProgressiveIndexIds()) {
     auto index = MakeIndex(id, column, BudgetSpec::Adaptive(0.2));
     const Metrics metrics = RunWorkload(index.get(), queries);
-    report.AddRow({index->name(),
-                   TableReport::FormatSecs(metrics.CumulativeSecs()),
-                   TableReport::FormatCount(metrics.ConvergenceQuery()),
-                   id == TechniqueId(pick) ? "<== pick" : ""});
+    std::printf("%-20s %12.4g %13lld%s\n", index->name().c_str(),
+                metrics.CumulativeSecs(),
+                static_cast<long long>(metrics.ConvergenceQuery()),
+                id == TechniqueId(pick) ? "  <== pick" : "");
   }
-  report.Print();
   return 0;
 }

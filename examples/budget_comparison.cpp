@@ -10,7 +10,6 @@
 
 #include "core/progressive_bucketsort.h"
 #include "eval/experiment.h"
-#include "eval/report.h"
 #include "workload/data_generator.h"
 #include "workload/synthetic.h"
 
@@ -38,18 +37,17 @@ int main() {
 
   std::printf("Progressive Bucketsort on skewed data (n=%zu, %zu queries)\n",
               column.size(), queries.size());
-  TableReport report({"budget", "first_q_s", "payoff_q", "convergence_q",
-                      "robustness", "cumulative_s"});
+  // -1: never paid off / never converged.
+  std::printf("%-25s %10s %8s %13s %10s %12s\n", "budget", "first_q_s",
+              "payoff_q", "convergence_q", "robustness", "cumulative_s");
   for (const Config& config : configs) {
     ProgressiveBucketsort index(column, config.spec);
     const Metrics metrics = RunWorkload(&index, queries);
-    report.AddRow(
-        {config.label, TableReport::FormatSecs(metrics.FirstQuerySecs()),
-         TableReport::FormatCount(metrics.PayoffQuery(scan_secs)),
-         TableReport::FormatCount(metrics.ConvergenceQuery()),
-         TableReport::FormatSci(metrics.RobustnessVariance(100)),
-         TableReport::FormatSecs(metrics.CumulativeSecs())});
+    std::printf("%-25s %10.4g %8lld %13lld %10.1e %12.4g\n",
+                config.label.c_str(), metrics.FirstQuerySecs(),
+                static_cast<long long>(metrics.PayoffQuery(scan_secs)),
+                static_cast<long long>(metrics.ConvergenceQuery()),
+                metrics.RobustnessVariance(100), metrics.CumulativeSecs());
   }
-  report.Print();
   return 0;
 }

@@ -1,22 +1,13 @@
 #include "baselines/full_index.h"
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
-#include "common/validate.h"
+#include "cost/cost_model.h"
 #include "parallel/primitives.h"
 #include "persist/io.h"
 
 namespace progidx {
-
-FullIndex::FullIndex(const Column& column, size_t fanout)
-    : column_(column), fanout_(fanout) {
-  if (fanout < 2) {
-    FailInvalidArgument("FullIndex: btree_fanout " + std::to_string(fanout) +
-                        " must be >= 2");
-  }
-}
 
 QueryResult FullIndex::Query(const RangeQuery& q) {
   if (!built_) {
@@ -29,7 +20,7 @@ QueryResult FullIndex::Query(const RangeQuery& q) {
     std::vector<value_t> scratch(sorted_.size());
     parallel::RadixSortFlat(sorted_.data(), scratch.data(), sorted_.size(),
                             column_.min_value(), column_.max_value());
-    btree_ = BPlusTree(sorted_.data(), sorted_.size(), fanout_);
+    btree_ = BPlusTree(sorted_.data(), sorted_.size(), kBTreeFanout);
     btree_.BuildAll();
     built_ = true;
   }
@@ -54,7 +45,7 @@ bool FullIndex::LoadState(persist::Reader* r) {
       !std::is_sorted(sorted_.begin(), sorted_.end())) {
     return false;
   }
-  btree_ = BPlusTree(sorted_.data(), n, fanout_);
+  btree_ = BPlusTree(sorted_.data(), n, kBTreeFanout);
   return btree_.LoadState(r);
 }
 

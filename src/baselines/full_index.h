@@ -14,8 +14,7 @@ namespace progidx {
 /// extreme of Table 2: worst first query, best cumulative time.
 class FullIndex : public IndexBase {
  public:
-  /// `fanout` is the B+-tree fanout β, at least 2.
-  explicit FullIndex(const Column& column, size_t fanout = 64);
+  explicit FullIndex(const Column& column) : column_(column) {}
 
   QueryResult Query(const RangeQuery& q) override;
   bool converged() const override { return built_; }
@@ -38,7 +37,6 @@ class FullIndex : public IndexBase {
 
  private:
   const Column& column_;
-  size_t fanout_;
   bool built_ = false;
   std::vector<value_t> sorted_;
   BPlusTree btree_;

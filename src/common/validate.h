@@ -16,8 +16,11 @@ namespace progidx {
 /// status 1.
 [[noreturn]] void FailInvalidArgument(const std::string& what);
 
-/// FailInvalidArgument(what) unless `ok`.
-inline void CheckArg(bool ok, const std::string& what) {
+/// FailInvalidArgument(what) unless `ok`. A literal message costs
+/// nothing when the check passes; a caller that formats its message
+/// calls FailInvalidArgument under its own `if` instead, so a passing
+/// check never builds a string.
+inline void CheckArg(bool ok, const char* what) {
   if (!ok) FailInvalidArgument(what);
 }
 

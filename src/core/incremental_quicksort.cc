@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "cost/cost_model.h"
 #include "kernels/kernels.h"
 #include "parallel/thread_pool.h"
 #include "persist/io.h"
@@ -96,8 +97,7 @@ void IncrementalQuicksort::FinishPartition(Node* node, size_t depth) {
 }
 
 size_t IncrementalQuicksort::WorkOn(Node* node, size_t budget,
-                                    const RangeQuery& hint, bool use_hint,
-                                    size_t depth) {
+                                    const RangeQuery& hint, size_t depth) {
   if (node == nullptr || node->sorted || budget == 0) return 0;
   size_t used = 0;
   if (!node->partitioned) {
@@ -125,15 +125,11 @@ size_t IncrementalQuicksort::WorkOn(Node* node, size_t budget,
   }
   Node* first = node->left.get();
   Node* second = node->right.get();
-  if (use_hint) {
-    const bool left_relevant = hint.low < node->pivot;
-    const bool right_relevant = hint.high >= node->pivot;
-    if (right_relevant && !left_relevant) std::swap(first, second);
-  }
-  if (used < budget) used += WorkOn(first, budget - used, hint, use_hint,
-                                    depth + 1);
-  if (used < budget) used += WorkOn(second, budget - used, hint, use_hint,
-                                    depth + 1);
+  const bool left_relevant = hint.low < node->pivot;
+  const bool right_relevant = hint.high >= node->pivot;
+  if (right_relevant && !left_relevant) std::swap(first, second);
+  if (used < budget) used += WorkOn(first, budget - used, hint, depth + 1);
+  if (used < budget) used += WorkOn(second, budget - used, hint, depth + 1);
   if (node->left->sorted && node->right->sorted) {
     // Both halves done: the whole span is sorted; prune the children
     // (§3.1: "leaf nodes will keep on being sorted and pruned").
@@ -153,8 +149,7 @@ size_t IncrementalQuicksort::DoWork(size_t max_elements,
   // chunk-claiming loop. Selection order, charged units, and the final
   // array are identical to the serial path.
   defer_leaf_sorts_ = parallel::EffectiveLanes() > 1;
-  const size_t used = WorkOn(root_.get(), max_elements, hint,
-                             /*use_hint=*/true, 1);
+  const size_t used = WorkOn(root_.get(), max_elements, hint, 1);
   defer_leaf_sorts_ = false;
   if (!pending_leaf_sorts_.empty()) {
     const size_t leaves = pending_leaf_sorts_.size();
@@ -173,10 +168,7 @@ size_t IncrementalQuicksort::DoWork(size_t max_elements,
 }
 
 size_t IncrementalQuicksort::LeafSortUnits(size_t size) const {
-  size_t log2_size = 1;
-  while ((size >> log2_size) > 1) log2_size++;
-  const double units =
-      static_cast<double>(size * log2_size) * sort_unit_scale_;
+  const double units = static_cast<double>(SortUnits(size)) * sort_unit_scale_;
   return std::max<size_t>(static_cast<size_t>(units), 1);
 }
 

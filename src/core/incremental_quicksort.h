@@ -136,13 +136,14 @@ class IncrementalQuicksort {
   std::unique_ptr<Node> MakeNode(size_t start, size_t end, value_t min_v,
                                  value_t max_v, size_t depth);
   /// Work units one sort-outright leaf of `size` elements is charged
-  /// (size·log2(size)·sort_unit_scale, min 1). Shared by the charging
+  /// (SortUnits(size)·sort_unit_scale, min 1). Shared by the charging
   /// path (WorkOn) and the prediction path (NextLeafSortUnits): the
   /// cost-model floor is only correct while both charge identically.
   size_t LeafSortUnits(size_t size) const;
-  /// Budgeted work on one subtree; returns units consumed.
+  /// Budgeted work on one subtree, the hint-relevant child first;
+  /// returns units consumed.
   size_t WorkOn(Node* node, size_t budget, const RangeQuery& hint,
-                bool use_hint, size_t depth);
+                size_t depth);
   /// Advances the node's partition by at most `budget` steps.
   size_t AdvancePartition(Node* node, size_t budget);
   void FinishPartition(Node* node, size_t depth);

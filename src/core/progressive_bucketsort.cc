@@ -16,10 +16,7 @@ ProgressiveBucketsort::ProgressiveBucketsort(const Column& column,
                                              uint64_t sample_seed)
     : ProgressiveIndex(column, budget, options, "pb", 2) {
   const size_t n = column_.size();
-  buckets_.reserve(options_.bucket_count);
-  for (size_t i = 0; i < options_.bucket_count; i++) {
-    buckets_.emplace_back(options_.block_capacity);
-  }
+  buckets_.resize(kBucketCount);
   final_.resize(n);
   if (n == 0) return;
   // Equi-height bounds from a random sample (the paper's "existing
@@ -31,9 +28,9 @@ ProgressiveBucketsort::ProgressiveBucketsort(const Column& column,
     sample[i] = column_[rng.NextBounded(n)];
   }
   std::sort(sample.begin(), sample.end());
-  boundaries_.reserve(options_.bucket_count - 1);
-  for (size_t b = 1; b < options_.bucket_count; b++) {
-    boundaries_.push_back(sample[b * sample_size / options_.bucket_count]);
+  boundaries_.reserve(kBucketCount - 1);
+  for (size_t b = 1; b < kBucketCount; b++) {
+    boundaries_.push_back(sample[b * sample_size / kBucketCount]);
   }
   bucket_of_ =
       kernels::UpperBoundLookup(boundaries_.data(), boundaries_.size());

@@ -1,50 +1,18 @@
 #include "core/progressive_index.h"
 
 #include <algorithm>
-#include <bit>
-#include <string>
 
-#include "common/validate.h"
 #include "exec/batch_refine.h"
 #include "persist/io.h"
 
 namespace progidx {
-
-namespace {
-
-/// Rejects options no index can be built with, before anything is sized
-/// from them. A message is built only on failure: one string allocated
-/// on every construction shifted the heap enough to move perfbench's
-/// explore_skyserver peak_rss_mb by 3.4 MiB on one seed.
-const ProgressiveOptions& Validated(const ProgressiveOptions& options) {
-  // MSD's root mask must name exactly its bucket_count chains.
-  if (options.bucket_count < 2 ||
-      !std::has_single_bit(options.bucket_count)) {
-    FailInvalidArgument("ProgressiveOptions: bucket_count " +
-                        std::to_string(options.bucket_count) +
-                        " must be a power of two >= 2");
-  }
-  if (options.block_capacity < 1) {
-    FailInvalidArgument("ProgressiveOptions: block_capacity must be >= 1");
-  }
-  if (options.btree_fanout < 2) {
-    FailInvalidArgument("ProgressiveOptions: btree_fanout " +
-                        std::to_string(options.btree_fanout) +
-                        " must be >= 2");
-  }
-  return options;
-}
-
-}  // namespace
 
 ProgressiveIndex::ProgressiveIndex(const Column& column,
                                    const BudgetSpec& budget,
                                    const ProgressiveOptions& options,
                                    const char* telemetry_id, int build_phases)
     : column_(column),
-      options_(Validated(options)),
-      model_(options.Machine(), column.size(), options.bucket_count,
-             options.block_capacity),
+      model_(options.Machine(), column.size()),
       budget_(budget, model_),
       min_(column.min_value()),
       max_(column.max_value()),
@@ -68,7 +36,7 @@ const char* ProgressiveIndex::PhaseName(int phase) const {
 }
 
 void ProgressiveIndex::EnterConsolidation() {
-  btree_ = BPlusTree(SortedArray(), column_.size(), options_.btree_fanout);
+  btree_ = BPlusTree(SortedArray(), column_.size(), kBTreeFanout);
   builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
   phase_ = build_phases_;
 }
@@ -85,7 +53,7 @@ double ProgressiveIndex::SelectivityEstimate(const RangeQuery& q) const {
 double ProgressiveIndex::OpSecs() const {
   if (building()) return BuildOpSecs();
   if (converged()) return 0;
-  return model_.ConsolidateSecs(options_.btree_fanout);
+  return model_.ConsolidateSecs();
 }
 
 double ProgressiveIndex::EstimateAnswerSecs(const RangeQuery& q) const {
@@ -109,9 +77,9 @@ ProgressiveIndex::Prediction ProgressiveIndex::Predict(const RangeQuery& q,
     return WithPrivateRemainder(model_.BinarySearchSecs() + shared, 0, shared,
                                 seq_read);
   }
-  return WithPrivateRemainder(
-      model_.Consolidate(options_.btree_fanout, alpha, delta),
-      delta * model_.ConsolidateSecs(options_.btree_fanout), shared, seq_read);
+  return WithPrivateRemainder(model_.Consolidate(alpha, delta),
+                              delta * model_.ConsolidateSecs(), shared,
+                              seq_read);
 }
 
 void ProgressiveIndex::PrepareQuery(const RangeQuery& q) {
@@ -252,7 +220,7 @@ bool ProgressiveIndex::LoadState(persist::Reader* r) {
   if (!building()) {
     // The tree and build position this index's consolidation reaches
     // over the reloaded sorted array, and no other.
-    btree_ = BPlusTree(SortedArray(), column_.size(), options_.btree_fanout);
+    btree_ = BPlusTree(SortedArray(), column_.size(), kBTreeFanout);
     if (!btree_.LoadState(r)) return false;
     builder_ = std::make_unique<ProgressiveBTreeBuilder>(&btree_);
     if (!builder_->LoadState(r)) return false;

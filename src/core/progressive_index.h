@@ -14,14 +14,9 @@
 
 namespace progidx {
 
-/// Shared configuration of the four progressive indexes.
+/// Shared configuration of the four progressive indexes. Their design
+/// constants b, sb and β are fixed (cost/cost_model.h).
 struct ProgressiveOptions {
-  /// B+-tree fanout β used by the consolidation phase.
-  size_t btree_fanout = 64;
-  /// Radix/bucket fan-out b (§3.2 uses 64 = min(cache lines, TLB)).
-  size_t bucket_count = 64;
-  /// Linked-block capacity sb of bucket chains.
-  size_t block_capacity = 4096;
   /// Machine constants; defaults to the process-wide calibration.
   const MachineConstants* machine = nullptr;
 
@@ -154,7 +149,6 @@ class ProgressiveIndex : public IndexBase {
   virtual const value_t* SortedArray() const = 0;
 
   const Column& column_;
-  const ProgressiveOptions options_;
   CostModel model_;
   BudgetController budget_;
   /// The column's value domain.

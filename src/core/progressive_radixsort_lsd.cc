@@ -25,12 +25,8 @@ ProgressiveRadixsortLSD::ProgressiveRadixsortLSD(
   // ⌈log2(domain)/log2(64)⌉ passes (§3.4), and at least one.
   total_passes_ = static_cast<size_t>((bits + 5) / 6);
   if (total_passes_ == 0) total_passes_ = 1;
-  source_.reserve(64);
-  dest_.reserve(64);
-  for (size_t i = 0; i < 64; i++) {
-    source_.emplace_back(options_.block_capacity);
-    dest_.emplace_back(options_.block_capacity);
-  }
+  source_.resize(kBucketCount);
+  dest_.resize(kBucketCount);
   final_.resize(column_.size());
 }
 

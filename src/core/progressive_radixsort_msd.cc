@@ -48,15 +48,12 @@ ProgressiveRadixsortMSD::ProgressiveRadixsortMSD(
     : ProgressiveIndex(column, budget, options, "pmsd", 2) {
   const int bits = static_cast<int>(std::bit_width(
       static_cast<uint64_t>(max_) - static_cast<uint64_t>(min_)));
-  // b = 64 root buckets keyed by the top 6 bits of the value domain.
-  const int radix_bits = static_cast<int>(std::bit_width(
-      static_cast<uint64_t>(options_.bucket_count) - 1));
-  root_shift_ = bits > radix_bits ? bits - radix_bits : 0;
-  root_mask_ = (1u << radix_bits) - 1;
-  root_buckets_.reserve(options_.bucket_count);
-  for (size_t i = 0; i < options_.bucket_count; i++) {
-    root_buckets_.emplace_back(options_.block_capacity);
-  }
+  // b = 64 root buckets keyed by the top log2(b) = 6 bits of the value
+  // domain.
+  constexpr int kRadixBits = static_cast<int>(std::bit_width(kBucketCount - 1));
+  root_shift_ = bits > kRadixBits ? bits - kRadixBits : 0;
+  root_mask_ = static_cast<uint32_t>(kBucketCount - 1);
+  root_buckets_.resize(kBucketCount);
   final_.resize(column_.size());
 }
 
@@ -140,19 +137,14 @@ size_t ProgressiveRadixsortMSD::RefineFront(size_t budget) {
     pending_.pop_front();
     // Copy is linear but the sort costs O(size·log2(size)); charge the
     // log factor so budget adherence survives the merge stage.
-    size_t log2_size = 1;
-    while ((size >> log2_size) > 1) log2_size++;
-    return std::max(size * log2_size, size_t{1});
+    return std::max(SortUnits(size), size_t{1});
   }
   // Split by the next 6 bits into child buckets; resumable mid-drain.
   const int child_shift = ChildShift(front.shift);
   const size_t child_count = ChildCount(front.shift);
   if (!front.splitting) {
     front.splitting = true;
-    front.children.reserve(child_count);
-    for (size_t i = 0; i < child_count; i++) {
-      front.children.emplace_back(options_.block_capacity);
-    }
+    front.children.resize(child_count);
     front.cursor = BucketChain::Cursor{};
   }
   // Gather the split's block runs up to the budget and scatter them

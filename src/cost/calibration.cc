@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "common/types.h"
+#include "cost/cost_model.h"
 #include "exec/shared_scan.h"
 #include "kernels/kernels.h"
 #include "parallel/primitives.h"
@@ -126,7 +127,7 @@ double MeasureSwap(std::vector<value_t>* buffer) {
 
 double MeasureSortUnitScale(std::vector<value_t>* buffer, size_t l1_elements,
                             double swap_secs) {
-  // IncrementalQuicksort charges size·log2(size) work units per
+  // IncrementalQuicksort charges SortUnits(size) work units per
   // sorted-outright leaf, and the budget controllers price every unit
   // at swap_secs. Measure what one such sort unit really costs —
   // kernels::SortLeaf, the leaf sort the indexes run, over L1-sized
@@ -145,9 +146,7 @@ double MeasureSortUnitScale(std::vector<value_t>* buffer, size_t l1_elements,
   for (size_t start = 0; start < n; start += chunk) {
     const size_t size = std::min(chunk, n - start);
     kernels::SortLeaf(data + start, size);
-    size_t log2_size = 1;
-    while ((size >> log2_size) > 1) log2_size++;
-    units += size * log2_size;
+    units += SortUnits(size);
   }
   const double secs = timer.ElapsedSeconds();
   calibration_sink = data[n / 2];

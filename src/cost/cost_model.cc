@@ -3,19 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/types.h"
-
 namespace progidx {
-
-CostModel::CostModel(const MachineConstants& constants, size_t n,
-                     size_t bucket_count, size_t block_capacity)
-    : constants_(constants),
-      n_(n),
-      bucket_count_(bucket_count),
-      block_capacity_(block_capacity) {
-  PROGIDX_CHECK(bucket_count_ > 1);
-  PROGIDX_CHECK(block_capacity_ > 0);
-}
 
 double CostModel::ScanSecs() const {
   return constants_.seq_read_secs * static_cast<double>(n_);
@@ -37,7 +25,7 @@ double CostModel::BucketAppendSecs() const {
       constants_.bucket_append_secs * static_cast<double>(n_);
   const double allocs = constants_.alloc_secs *
                         (static_cast<double>(n_) /
-                         static_cast<double>(block_capacity_));
+                         static_cast<double>(kBlockCapacity));
   return rw + allocs;
 }
 
@@ -46,7 +34,7 @@ double CostModel::BucketScanSecs() const {
   // linked-block walk itself.
   const double block_hops = constants_.random_access_secs *
                             (static_cast<double>(n_) /
-                             static_cast<double>(block_capacity_));
+                             static_cast<double>(kBlockCapacity));
   return constants_.bucket_scan_secs * static_cast<double>(n_) + block_hops;
 }
 
@@ -59,12 +47,12 @@ double CostModel::TreeLookupSecs(size_t height) const {
   return static_cast<double>(height) * constants_.random_access_secs;
 }
 
-double CostModel::ConsolidateSecs(size_t fanout) const {
-  // Ncopy = sum_{i>=1} n / fanout^i.
+double CostModel::ConsolidateSecs() const {
+  // Ncopy = sum_{i>=1} n / β^i.
   double total = 0;
   double level = static_cast<double>(n_);
   while (level >= 1.0) {
-    level /= static_cast<double>(fanout);
+    level /= static_cast<double>(kBTreeFanout);
     total += level;
   }
   return total * (constants_.random_access_secs + constants_.seq_write_secs);
@@ -96,10 +84,9 @@ double CostModel::ParallelScanScale(size_t threads) const {
   return scale > 0 ? scale : 1.0;
 }
 
-double CostModel::Consolidate(size_t fanout, double alpha,
-                              double delta) const {
+double CostModel::Consolidate(double alpha, double delta) const {
   return BinarySearchSecs() + alpha * ScanSecs() +
-         delta * ConsolidateSecs(fanout);
+         delta * ConsolidateSecs();
 }
 
 double CostModel::RadixCreate(double rho, double alpha, double delta) const {
@@ -113,7 +100,7 @@ double CostModel::RadixRefine(double alpha, double delta) const {
 
 double CostModel::BucketsortCreate(double rho, double alpha,
                                    double delta) const {
-  const double log_b = std::log2(static_cast<double>(bucket_count_));
+  const double log_b = std::log2(static_cast<double>(kBucketCount));
   return (1.0 - rho - delta) * ScanSecs() + alpha * BucketScanSecs() +
          delta * log_b * BucketAppendSecs();
 }

@@ -1,11 +1,23 @@
 #ifndef PROGIDX_COST_COST_MODEL_H_
 #define PROGIDX_COST_COST_MODEL_H_
 
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 
 #include "cost/calibration.h"
+#include "storage/bucket_chain.h"
 
 namespace progidx {
+
+/// The design constants §3 fixes by argument, read by the cost model
+/// and the indexes alike: the radix/bucket fan-out b (64 = min(L1
+/// cache lines, TLB entries), §3.2), the elements sb of one
+/// bucket-chain block (32 KiB), and the consolidation B+-tree's fanout
+/// β.
+inline constexpr size_t kBucketCount = 64;
+inline constexpr size_t kBlockCapacity = BucketChain::kDefaultBlockCapacity;
+inline constexpr size_t kBTreeFanout = 64;
 
 /// Implements the per-phase cost formulas of §3.1–§3.4 (Table 1
 /// parameters). All "t*" quantities are seconds for the *whole column*
@@ -16,9 +28,8 @@ namespace progidx {
 /// constants here: e.g. the paper's ω·N/γ is `seq_read_secs · N`.
 class CostModel {
  public:
-  CostModel(const MachineConstants& constants, size_t n,
-            size_t bucket_count = 64,
-            size_t block_capacity = 4096);
+  CostModel(const MachineConstants& constants, size_t n)
+      : constants_(constants), n_(n) {}
 
   size_t n() const { return n_; }
   const MachineConstants& constants() const { return constants_; }
@@ -44,7 +55,7 @@ class CostModel {
   /// t_copy for consolidation: total elements copied into B+-tree
   /// internal levels, Ncopy = Σ n/β^i, each a random read + sequential
   /// write.
-  double ConsolidateSecs(size_t fanout) const;
+  double ConsolidateSecs() const;
 
   // --- Per-query totals, one per algorithm phase (§3) --------------------
   // rho:   fraction of the column already indexed,
@@ -67,7 +78,7 @@ class CostModel {
                                       double delta, double leaf_secs) const;
   /// Consolidation: log2(N)·φ + α·t_scan + δ·t_copy (same for all four
   /// algorithms).
-  double Consolidate(size_t fanout, double alpha, double delta) const;
+  double Consolidate(double alpha, double delta) const;
   /// Radixsort MSD/LSD creation: (1 − ρ − δ)·t_scan + α·t_bscan +
   /// δ·t_bucket.
   double RadixCreate(double rho, double alpha, double delta) const;
@@ -150,8 +161,6 @@ class CostModel {
  private:
   MachineConstants constants_;
   size_t n_;
-  size_t bucket_count_;
-  size_t block_capacity_;
 };
 
 // --- Work-unit helpers for the DoWorkSecs loops ------------------------
@@ -176,6 +185,15 @@ inline double ClampOpSecs(double op_secs, size_t n) {
   const double floor =
       static_cast<double>(n == 0 ? 1 : n) * kMinWorkUnitSecs;
   return op_secs > floor ? op_secs : floor;
+}
+
+/// Work units of one sort-outright leaf of `size` elements, before
+/// sort_unit_scale: size · max(1, ⌊log2 size⌋). IncrementalQuicksort's
+/// leaves, Radixsort MSD's merged buckets and the calibration's
+/// sort_unit_scale probe all count a leaf through this one function.
+constexpr size_t SortUnits(size_t size) {
+  const int floor_log2 = static_cast<int>(std::bit_width(size)) - 1;
+  return size * static_cast<size_t>(std::max(floor_log2, 1));
 }
 
 /// Whole work units a budget of `secs` buys at `unit_secs` per unit;

@@ -10,30 +10,13 @@ namespace progidx {
 Metrics RunWorkload(IndexBase* index, const std::vector<RangeQuery>& queries,
                     IndexBase* oracle) {
   // PROGIDX_BATCH=N groups the stream into batches of N concurrent
-  // queries through IndexBase::QueryBatch; the default N=1 is the
-  // classic one-query-at-a-time loop. Per-query records are still
-  // emitted: a batch's wall time is split evenly across its queries,
-  // and prediction/convergence are the post-batch values.
+  // queries through IndexBase::QueryBatch; the default N=1 runs each
+  // query as a batch of one. Per-query records are still emitted: a
+  // batch's wall time is split evenly across its queries, and
+  // prediction/convergence are the post-batch values.
   const size_t batch_size = exec::BatchSizeFromEnv();
   std::vector<QueryRecord> records;
   records.reserve(queries.size());
-  if (batch_size <= 1) {
-    for (const RangeQuery& q : queries) {
-      Timer timer;
-      QueryRecord record;
-      record.result = index->Query(q);
-      record.secs = timer.ElapsedSeconds();
-      record.predicted = index->last_predicted_cost();
-      record.converged = index->converged();
-      if (oracle != nullptr) {
-        const QueryResult expected = oracle->Query(q);
-        PROGIDX_CHECK(record.result.sum == expected.sum);
-        PROGIDX_CHECK(record.result.count == expected.count);
-      }
-      records.push_back(record);
-    }
-    return Metrics(std::move(records));
-  }
   std::vector<QueryResult> results(batch_size);
   for (size_t start = 0; start < queries.size(); start += batch_size) {
     const size_t count = std::min(batch_size, queries.size() - start);

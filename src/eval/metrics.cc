@@ -47,15 +47,30 @@ int64_t Metrics::PayoffQuery(double scan_secs) const {
   return -1;
 }
 
-double Metrics::CostModelRelativeError() const {
-  double total = 0;
-  size_t count = 0;
+double Metrics::SlowestAfterFirstSecs() const {
+  double slowest = 0;
+  for (size_t i = 1; i < records_.size(); i++) {
+    slowest = std::max(slowest, records_[i].secs);
+  }
+  return slowest;
+}
+
+Metrics::ModelError Metrics::CostModelError() const {
+  ModelError e;
   for (const QueryRecord& r : records_) {
     if (r.predicted <= 0 || r.secs <= 0) continue;
-    total += std::abs(r.secs - r.predicted) / r.secs;
-    count++;
+    const double err = std::abs(r.secs - r.predicted) / r.secs;
+    if (r.converged) {
+      e.post += err;
+      e.post_queries++;
+    } else {
+      e.pre += err;
+      e.pre_queries++;
+    }
   }
-  return count == 0 ? 0 : total / static_cast<double>(count);
+  if (e.pre_queries > 0) e.pre /= static_cast<double>(e.pre_queries);
+  if (e.post_queries > 0) e.post /= static_cast<double>(e.post_queries);
+  return e;
 }
 
 }  // namespace progidx

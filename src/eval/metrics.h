@@ -42,10 +42,22 @@ class Metrics {
   /// first holds (the "pay-off" point of Fig. 7b), or -1 if never.
   int64_t PayoffQuery(double scan_secs) const;
 
-  /// Mean absolute relative error between measured and predicted times
-  /// (cost-model validation, Figs. 8/9); queries with no prediction are
-  /// skipped.
-  double CostModelRelativeError() const;
+  /// Time of the slowest query after the first (seconds; 0 with fewer
+  /// than two queries): Fig. 10's spikes.
+  double SlowestAfterFirstSecs() const;
+
+  /// The cost model's mean relative error |measured − predicted| /
+  /// measured (Figs. 8/9), split at convergence: the build-up, where
+  /// the absolute times matter, and the converged tail of microsecond
+  /// lookups, where small absolute offsets dominate. Queries with no
+  /// prediction are skipped; a side with no queries reads 0.
+  struct ModelError {
+    double pre = 0;
+    size_t pre_queries = 0;
+    double post = 0;
+    size_t post_queries = 0;
+  };
+  ModelError CostModelError() const;
 
  private:
   std::vector<QueryRecord> records_;

@@ -18,9 +18,7 @@ std::unique_ptr<IndexBase> MakeIndex(const std::string& id,
                                      const BudgetSpec& budget,
                                      const ProgressiveOptions& options) {
   if (id == "fs") return std::make_unique<FullScan>(column);
-  if (id == "fi") {
-    return std::make_unique<FullIndex>(column, options.btree_fanout);
-  }
+  if (id == "fi") return std::make_unique<FullIndex>(column);
   if (id == "std") return std::make_unique<StandardCracking>(column);
   if (id == "stc") return std::make_unique<StochasticCracking>(column);
   if (id == "pstc") {

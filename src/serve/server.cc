@@ -81,9 +81,10 @@ Server::Server(IndexBase* index, const Column& column, ServerConfig config)
   CheckArg(index != nullptr, "serve: index must not be null");
   CheckArg(config.queue_capacity > 0, "serve: queue capacity must be > 0");
   CheckArg(config.batch_size > 0, "serve: batch size must be > 0");
-  CheckArg(config.batch_size <= exec::kMaxBatchSize,
-           "serve: batch size exceeds exec::kMaxBatchSize (" +
-               std::to_string(exec::kMaxBatchSize) + ")");
+  if (config.batch_size > exec::kMaxBatchSize) {
+    FailInvalidArgument("serve: batch size exceeds exec::kMaxBatchSize (" +
+                        std::to_string(exec::kMaxBatchSize) + ")");
+  }
   CheckArg(column.empty() || config.batch_size <= column.size(),
            "serve: batch size exceeds column size");
   CheckArg(!config.exact_batches || config.batch_size <= config.queue_capacity,

@@ -9,8 +9,8 @@
 namespace progidx {
 
 void BucketChain::AddBlock() {
-  blocks_.push_back(std::make_unique<Block>(block_capacity_));
-  tail_ = blocks_.back().get();
+  blocks_.emplace_back(block_capacity_);
+  tail_ = &blocks_.back();
 }
 
 void BucketChain::AppendRun(const value_t* src, size_t k) {
@@ -30,10 +30,10 @@ void BucketChain::AppendRun(const value_t* src, size_t k) {
 
 size_t BucketChain::CopyTo(value_t* out) const {
   size_t written = 0;
-  for (const auto& block : blocks_) {
-    std::memcpy(out + written, block->values.get(),
-                block->count * sizeof(value_t));
-    written += block->count;
+  for (const Block& block : blocks_) {
+    std::memcpy(out + written, block.values.get(),
+                block.count * sizeof(value_t));
+    written += block.count;
   }
   return written;
 }
@@ -41,8 +41,8 @@ size_t BucketChain::CopyTo(value_t* out) const {
 QueryResult BucketChain::RangeSum(const RangeQuery& q) const {
   const kernels::KernelOps& ops = kernels::Dispatch();
   QueryResult result;
-  for (const auto& block : blocks_) {
-    result += ops.range_sum_predicated(block->values.get(), block->count, q);
+  for (const Block& block : blocks_) {
+    result += ops.range_sum_predicated(block.values.get(), block.count, q);
   }
   return result;
 }
@@ -56,8 +56,8 @@ void BucketChain::Clear() {
 void BucketChain::SaveState(persist::Writer* w) const {
   w->WriteU64(block_capacity_);
   w->WriteU64(size_);
-  for (const auto& block : blocks_) {
-    w->WriteValues(block->values.get(), block->count);
+  for (const Block& block : blocks_) {
+    w->WriteValues(block.values.get(), block.count);
   }
 }
 

@@ -62,8 +62,8 @@ class BucketChain {
   /// order is what makes LSD radix passes stable.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (const auto& block : blocks_) {
-      for (size_t i = 0; i < block->count; i++) fn(block->values[i]);
+    for (const Block& block : blocks_) {
+      for (size_t i = 0; i < block.count; i++) fn(block.values[i]);
     }
   }
 
@@ -106,18 +106,17 @@ class BucketChain {
   /// budgeted drains hand whole block slices to vector kernels.
   size_t ContiguousRun(const Cursor& cursor, const value_t** run) const {
     if (AtEnd(cursor)) return 0;
-    const Block* b = blocks_[cursor.block].get();
-    *run = b->values.get() + cursor.offset;
-    return b->count - cursor.offset;
+    const Block& b = blocks_[cursor.block];
+    *run = b.values.get() + cursor.offset;
+    return b.count - cursor.offset;
   }
 
   /// Advances `cursor` by `k` elements; `k` must not exceed the current
   /// ContiguousRun length. A cursor never rests at the end of a block:
   /// reaching it moves the cursor to the next block's start.
   void Advance(Cursor* cursor, size_t k) const {
-    const Block* b = blocks_[cursor->block].get();
     cursor->offset += k;
-    if (cursor->offset >= b->count) {
+    if (cursor->offset >= blocks_[cursor->block].count) {
       cursor->offset = 0;
       cursor->block++;
     }
@@ -140,7 +139,7 @@ class BucketChain {
     if (cursor.block >= blocks_.size()) {
       return cursor.block == blocks_.size() && cursor.offset == 0;
     }
-    return cursor.offset < blocks_[cursor.block]->count;
+    return cursor.offset < blocks_[cursor.block].count;
   }
   /// Elements before a valid `cursor` (the drained prefix): every block
   /// but the tail is full, and the end cursor has drained them all
@@ -161,7 +160,9 @@ class BucketChain {
   void AddBlock();
 
   size_t block_capacity_;
-  std::vector<std::unique_ptr<Block>> blocks_;
+  /// Held by value: one allocation per block, and no pointer hop to
+  /// reach its values. tail_ points at blocks_.back().
+  std::vector<Block> blocks_;
   Block* tail_ = nullptr;
   size_t size_ = 0;
 };

@@ -22,9 +22,11 @@ Column MakeUniformColumn(size_t n, uint64_t seed) {
 
 Column MakeSkewedColumn(size_t n, uint64_t seed, double concentration) {
   CheckArg(n > 0, "data generator: column size must be > 0");
-  CheckArg(concentration >= 0 && concentration <= 1,
-           "data generator: concentration must be in [0, 1], got " +
-               std::to_string(concentration));
+  if (!(concentration >= 0 && concentration <= 1)) {
+    FailInvalidArgument(
+        "data generator: concentration must be in [0, 1], got " +
+        std::to_string(concentration));
+  }
   std::vector<value_t> values(n);
   Rng rng(seed);
   const value_t domain = static_cast<value_t>(n);

@@ -62,13 +62,15 @@ WorkloadGenerator::WorkloadGenerator(WorkloadPattern pattern,
       total_queries_(std::max<size_t>(total_queries, 1)),
       selectivity_(selectivity),
       rng_(seed) {
-  CheckArg(domain_lo <= domain_hi,
-           "workload: domain_lo " + std::to_string(domain_lo) +
-               " > domain_hi " + std::to_string(domain_hi));
+  if (domain_lo > domain_hi) {
+    FailInvalidArgument("workload: domain_lo " + std::to_string(domain_lo) +
+                        " > domain_hi " + std::to_string(domain_hi));
+  }
   CheckArg(total_queries > 0, "workload: total_queries must be > 0");
-  CheckArg(selectivity > 0 && selectivity <= 1,
-           "workload: selectivity must be in (0, 1], got " +
-               std::to_string(selectivity));
+  if (!(selectivity > 0 && selectivity <= 1)) {
+    FailInvalidArgument("workload: selectivity must be in (0, 1], got " +
+                        std::to_string(selectivity));
+  }
 }
 
 value_t WorkloadGenerator::ClampLow(double lo) const {

@@ -69,7 +69,7 @@ TEST(CostModelTest, ScanScalesLinearly) {
 
 TEST(CostModelTest, PaperFormulas) {
   const MachineConstants mc = SyntheticConstants();
-  const CostModel model(mc, 1000000, 64, 4096);
+  const CostModel model(mc, 1000000);
   const double n = 1e6;
   // t_scan = ω·N/γ (per-element form).
   EXPECT_DOUBLE_EQ(model.ScanSecs(), 1e-9 * n);
@@ -107,7 +107,7 @@ TEST(CostModelTest, RadixRefineFormula) {
 
 TEST(CostModelTest, BucketsortCreateHasLogFactor) {
   const MachineConstants mc = SyntheticConstants();
-  const CostModel model(mc, 1000000, 64);
+  const CostModel model(mc, 1000000);
   // With rho = alpha = 0: (1-δ)·t_scan + δ·log2(64)·t_bucket.
   const double delta = 0.5;
   const double expected = (1 - delta) * model.ScanSecs() +
@@ -117,12 +117,33 @@ TEST(CostModelTest, BucketsortCreateHasLogFactor) {
 
 TEST(CostModelTest, ConsolidateSumsGeometricSeries) {
   const MachineConstants mc = SyntheticConstants();
-  const CostModel model(mc, 1 << 20, 64);
+  const CostModel model(mc, 1 << 20);
   // Ncopy = Σ n/β^i ≈ n/(β−1) for large n.
   const double ncopy_approx = static_cast<double>(1 << 20) / 63.0;
   const double per_key = mc.random_access_secs + mc.seq_write_secs;
-  EXPECT_NEAR(model.ConsolidateSecs(64), ncopy_approx * per_key,
+  EXPECT_NEAR(model.ConsolidateSecs(), ncopy_approx * per_key,
               0.05 * ncopy_approx * per_key);
+}
+
+/// The loop SortUnits replaced: size · max(1, ⌊log2 size⌋).
+size_t SortUnitsByLoop(size_t size) {
+  size_t log2_size = 1;
+  while ((size >> log2_size) > 1) log2_size++;
+  return size * log2_size;
+}
+
+TEST(CostModelTest, SortUnitsMatchesLog2Loop) {
+  for (size_t size = 0; size <= (size_t{1} << 16); size++) {
+    ASSERT_EQ(SortUnits(size), SortUnitsByLoop(size)) << size;
+  }
+  for (int k = 1; k <= 40; k++) {
+    const size_t p = size_t{1} << k;
+    for (const size_t size : {p - 1, p, p + 1}) {
+      ASSERT_EQ(SortUnits(size), SortUnitsByLoop(size)) << size;
+    }
+  }
+  static_assert(SortUnits(0) == 0 && SortUnits(1) == 1);
+  static_assert(SortUnits(4096) == 4096 * 12);
 }
 
 TEST(CostModelTest, DeltaForBudgetClamped) {

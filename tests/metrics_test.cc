@@ -1,13 +1,6 @@
-#include <stdlib.h>
-#include <unistd.h>
-
-#include <cstdio>
-#include <string>
-
 #include <gtest/gtest.h>
 
 #include "eval/metrics.h"
-#include "eval/report.h"
 
 namespace progidx {
 namespace {
@@ -74,43 +67,29 @@ TEST(MetricsTest, PayoffNeverWhenAlwaysSlower) {
   EXPECT_EQ(m.PayoffQuery(1.0), -1);
 }
 
-TEST(MetricsTest, CostModelError) {
-  std::vector<QueryRecord> records(2);
-  records[0].secs = 1.0;
-  records[0].predicted = 1.1;  // 10% off
-  records[1].secs = 2.0;
-  records[1].predicted = 1.8;  // 10% off
-  const Metrics m(std::move(records));
-  EXPECT_NEAR(m.CostModelRelativeError(), 0.1, 1e-9);
+TEST(MetricsTest, SlowestAfterFirst) {
+  EXPECT_DOUBLE_EQ(Metrics(MakeRecords({9.0, 0.5, 2.0, 1.0}))
+                       .SlowestAfterFirstSecs(),
+                   2.0);
+  EXPECT_DOUBLE_EQ(Metrics(MakeRecords({9.0})).SlowestAfterFirstSecs(), 0);
 }
 
-TEST(TableReportTest, Formatting) {
-  EXPECT_EQ(TableReport::FormatCount(-1), "x");
-  EXPECT_EQ(TableReport::FormatCount(42), "42");
-  EXPECT_EQ(TableReport::FormatSci(0.00024), "2.4e-04");
-  EXPECT_EQ(TableReport::FormatSecs(0.12345), "0.1235");
-}
-
-TEST(TableReportTest, CsvRoundTrip) {
-  TableReport report({"a", "b"});
-  report.AddRow({"1", "2"});
-  report.AddRow({"x", "y"});
-  // A directory of this process's own: test processes running side by
-  // side (the parallel ctest lanes) never share the file.
-  std::string dir = ::testing::TempDir() + "progidx_report_XXXXXX";
-  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
-  const std::string path = dir + "/report.csv";
-  report.WriteCsv(path);
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  char buffer[256];
-  ASSERT_NE(std::fgets(buffer, sizeof(buffer), f), nullptr);
-  EXPECT_STREQ(buffer, "a,b\n");
-  ASSERT_NE(std::fgets(buffer, sizeof(buffer), f), nullptr);
-  EXPECT_STREQ(buffer, "1,2\n");
-  std::fclose(f);
-  std::remove(path.c_str());
-  ::rmdir(dir.c_str());
+TEST(MetricsTest, CostModelErrorSplitsAtConvergence) {
+  // Queries 1-2 build (10% and 20% off); of the converged queries 3-4,
+  // only query 4 has a prediction (50% off).
+  std::vector<QueryRecord> records =
+      MakeRecords({1.0, 2.0, 1.0, 2.0}, /*converge_at=*/3);
+  records[0].predicted = 1.1;
+  records[1].predicted = 1.6;
+  records[3].predicted = 1.0;
+  const Metrics::ModelError e = Metrics(std::move(records)).CostModelError();
+  EXPECT_NEAR(e.pre, 0.15, 1e-9);
+  EXPECT_EQ(e.pre_queries, 2u);
+  EXPECT_NEAR(e.post, 0.5, 1e-9);
+  EXPECT_EQ(e.post_queries, 1u);
+  const Metrics::ModelError none = Metrics(MakeRecords({1.0})).CostModelError();
+  EXPECT_EQ(none.pre, 0);
+  EXPECT_EQ(none.pre_queries + none.post_queries, 0u);
 }
 
 }  // namespace

@@ -668,12 +668,12 @@ const GeometryMutation kGeometryMutations[] = {
     // The B+-tree tail every index shares, taken from converged
     // payloads (phase 3 is done for pq and pmsd, 4 for plsd), which
     // these three reach within the workload whatever the calibrated
-    // constants. A fanout other than the options', or levels other than
+    // constants. A fanout other than β = 64, or levels other than
     // the build copies from the sorted array, would descend windows
     // that do not match the level below — a root key too many sends
     // LowerBound's window past it; a cursor or remaining count off the
     // levels would resume the build elsewhere.
-    {"pq_btree_fanout", "pq", 3,
+    {"pq_tree_fanout", "pq", 3,
      [](std::string* s, size_t n) {
        const size_t tree = TreeOffset(*s, n);
        if (tree == std::string::npos) return false;
